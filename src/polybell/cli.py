@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb
 
 from .exact_core import format_rational, parse_rational
 from .identity_verifier import IDENTITY_IDS, run_all, thread_count
@@ -76,11 +77,11 @@ def _table_cells(kind: str, n_max: int, p_max: int, backend: PBellBackend):
             for p in range(1, p_max + 1)
         ]
     if kind == "pbell-poly-coeffs":
-        from .pbell import pbell_poly
-
-        polys = [pbell_poly(n, p_max, backend) for n in range(n_max + 1)]
+        # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}
+        column = pbell_column(n_max, p_max, backend)
         return [
-            (str(k), [poly.coeff(k) for poly in polys]) for k in range(n_max + 1)
+            (str(k), [comb(n, k) * column[n - k] if k <= n else 0 for n in range(n_max + 1)])
+            for k in range(n_max + 1)
         ]
     raise ValueError(f"unknown table kind {kind!r}")
 
@@ -362,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values are printed in full, whatever their size
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

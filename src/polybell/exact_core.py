@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -301,12 +301,20 @@ def egf_em1(order: int) -> EgfSeries:
     return EgfSeries([Fraction(0)] + [Fraction(1)] * order)
 
 
+def _over_lcm(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``cs`` over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def egf_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    """Binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}."""
+    """Binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}, run on ints with
+    each operand over a common denominator and reduced once per coefficient."""
     n = min(a.order, b.order)
-    ac, bc = a.coeffs, b.coeffs
+    (ac, da), (bc, db) = _over_lcm(a.coeffs[: n + 1]), _over_lcm(b.coeffs[: n + 1])
     return EgfSeries(
-        [sum(comb(m, k) * ac[k] * bc[m - k] for k in range(m + 1)) for m in range(n + 1)]
+        Fraction(sum(comb(m, k) * ac[k] * bc[m - k] for k in range(m + 1)), da * db)
+        for m in range(n + 1)
     )
 
 

@@ -109,22 +109,29 @@ def pbell_recurrence(n: int, p: int) -> Fraction:
     return _recurrence_table(n, p)[(n, p)]
 
 
-def _z_rows(n_max: int, p: int) -> list[Fraction]:
+def _z_rows(n_max: int, p: int, every_row: bool = True) -> list[Fraction]:
     """[Z_{0,0}, ..., Z_{n_max,0}] for the triangle at order p, i.e. the
-    whole p-column of B in one O(n_max^2) sweep."""
-    row = [Fraction(1)] * (n_max + 1)
-    out = [row[0]]
-    for _ in range(n_max):
-        row = [
-            Fraction(m + 1, m + p + 1) * row[m + 1] + m * row[m] for m in range(len(row) - 1)
-        ]
-        out.append(row[0])
+    whole p-column of B in one O(n_max^2) sweep; without ``every_row`` only
+    rows 0 and n_max are reduced and returned.
+
+    The sweep is fraction-free: W_{n,m} = Z_{n,m} (m+n+p)!/(m+p)! is an
+    integer with W_{0,m} = 1 and
+    W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m},
+    so B_{n,p} = W_{n,0} / ((n+p)!/p!) is reduced once per row.
+    """
+    row = [1] * (n_max + 1)
+    out, den = [Fraction(1)], 1
+    for n in range(n_max):
+        row = [(m + 1) * row[m + 1] + m * (m + n + p + 1) * row[m] for m in range(len(row) - 1)]
+        den *= n + p + 1
+        if every_row or n + 1 == n_max:
+            out.append(Fraction(row[0], den))
     return out
 
 
 def pbell_z_triangle(n: int, p: int) -> Fraction:
     _check_np(n, p)
-    return _z_rows(n, p)[n]
+    return _z_rows(n, p, every_row=False)[-1]
 
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:

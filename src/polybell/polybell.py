@@ -48,7 +48,7 @@ def polybell_pos(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Fra
 def polybell_neg(n: int, p: int) -> Fraction:
     """B_n^(-p) = sum_{k >= p} k!/(k-p)! {n,k}; an integer-valued Rational."""
     _check_np(n, p)
-    return sum((perm(k, p) * stirling2(n, k) for k in range(p, n + 1)), Fraction(0))
+    return Fraction(sum(perm(k, p) * stirling2(n, k) for k in range(p, n + 1)))
 
 
 def polybell_neg_int(n: int, p: int) -> int:

@@ -2,7 +2,8 @@
 
 Stirling numbers of both kinds, their r-shifted and weighted-polynomial
 relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
-Bell numbers/polynomials.  Every value is an exact Rational memoized in one
+Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
+``int``s, the Bernoulli families exact ``Fraction``s; all are memoized in one
 shared write-once triangle cache.
 
 Conventions
@@ -54,12 +55,13 @@ class TriangleCache:
 
     Reads are lock-free (CPython dict reads are atomic); inserts go through
     ``put``, which keeps the first value stored so two threads racing on the
-    same cell always observe the same rational.  ``force`` exists for fault
+    same cell always observe the same value.  ``force`` exists for fault
     injection in tests and is the only way to overwrite an entry.
     """
 
     def __init__(self) -> None:
         self._store: dict[Key, object] = {}
+        self._rows: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Key):
@@ -69,6 +71,20 @@ class TriangleCache:
         with self._lock:
             return self._store.setdefault(key, value)
 
+    def fill_rows(self, tag: str, n_max: int, step) -> None:
+        """Fill rows 0..n_max of ``tag`` with ``step(tag, r, c)``, in increasing
+        order so every read of row r-1 hits the cache.
+
+        A fill resumes after the last row it recorded as complete; ``put``
+        keeps the first value, so cells planted by ``force`` win and feed
+        later rows.  A racing fill may record a lower count, which only costs
+        a redundant refill; ``clear`` must not race a fill.
+        """
+        for r in range(self._rows.get(tag, 0), n_max + 1):
+            for c in range(r + 1):
+                self.put((tag, r, c), step(tag, r, c))
+            self._rows[tag] = r + 1
+
     def force(self, key: Key, value) -> None:
         """Test hook: overwrite one cell, bypassing write-once semantics."""
         with self._lock:
@@ -77,6 +93,7 @@ class TriangleCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
+            self._rows.clear()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -103,80 +120,69 @@ def _check_indices(n: int, k: int) -> None:
         raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
 
 
-def _fill_rows(tag: str, n_max: int, step) -> None:
-    # Rows are filled in increasing order so every read of row r-1 hits the
-    # cache, including entries planted by TriangleCache.force.
-    for r in range(n_max + 1):
-        for c in range(r + 1):
-            key = (tag, r, c)
-            if key in CACHE:
-                continue
-            CACHE.put(key, step(tag, r, c))
-
-
-def _cached(tag: str, r: int, c: int) -> Fraction:
+def _cached(tag: str, r: int, c: int):
     val = CACHE.get((tag, r, c))
-    return Fraction(0) if val is None else val
+    return 0 if val is None else val
 
 
-def stirling2(n: int, k: int) -> Fraction:
-    """Stirling number of the second kind {n, k}, as an exact Rational."""
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind {n, k}."""
     _check_indices(n, k)
     if k > n:
-        return Fraction(0)
+        return 0
     hit = CACHE.get((_S2, n, k))
     if hit is not None:
         return hit
 
-    def step(tag: str, r: int, c: int) -> Fraction:
+    def step(tag: str, r: int, c: int) -> int:
         if r == 0:
-            return Fraction(1) if c == 0 else Fraction(0)
+            return 1 if c == 0 else 0
         if c == 0:
-            return Fraction(0)
+            return 0
         return c * _cached(tag, r - 1, c) + _cached(tag, r - 1, c - 1)
 
-    _fill_rows(_S2, n, step)
+    CACHE.fill_rows(_S2, n, step)
     return CACHE.get((_S2, n, k))
 
 
-def stirling1(n: int, k: int) -> Fraction:
+def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     _check_indices(n, k)
     if k > n:
-        return Fraction(0)
+        return 0
     hit = CACHE.get((_S1, n, k))
     if hit is not None:
         return hit
 
-    def step(tag: str, r: int, c: int) -> Fraction:
+    def step(tag: str, r: int, c: int) -> int:
         if r == 0:
-            return Fraction(1) if c == 0 else Fraction(0)
+            return 1 if c == 0 else 0
         if c == 0:
-            return Fraction(0)
+            return 0
         return _cached(tag, r - 1, c - 1) - (r - 1) * _cached(tag, r - 1, c)
 
-    _fill_rows(_S1, n, step)
+    CACHE.fill_rows(_S1, n, step)
     return CACHE.get((_S1, n, k))
 
 
-def r_stirling2(n: int, k: int, r: int) -> Fraction:
+def r_stirling2(n: int, k: int, r: int) -> int:
     """The shifted r-Stirling number {n+r, k+r}_r."""
     _check_indices(n, k)
     if r < 0:
         raise ValueError(f"shift must be nonnegative, got r={r}")
     if k > n:
-        return Fraction(0)
+        return 0
     tag = f"s2r:{r}"
     hit = CACHE.get((tag, n, k))
     if hit is not None:
         return hit
 
-    def step(t: str, row: int, c: int) -> Fraction:
+    def step(t: str, row: int, c: int) -> int:
         if row == 0:
-            return Fraction(1) if c == 0 else Fraction(0)
+            return 1 if c == 0 else 0
         return (c + r) * _cached(t, row - 1, c) + _cached(t, row - 1, c - 1)
 
-    _fill_rows(tag, n, step)
+    CACHE.fill_rows(tag, n, step)
     return CACHE.get((tag, n, k))
 
 
@@ -259,7 +265,7 @@ def bell_poly(n: int) -> Polynomial:
     return Polynomial([stirling2(n, k) for k in range(n + 1)])
 
 
-def bell_number(n: int) -> Fraction:
+def bell_number(n: int) -> int:
     """Bell number phi_n = number of partitions of an n-set."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got n={n}")

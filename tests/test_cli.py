@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +138,43 @@ def test_table_poly_coeffs_kind(capsys):
     assert lines[0] == "n\\k,0,1,2,3"
     # row n=3 lists B_{3,2}(x) coefficients 14/15, 3/2, 1, 1
     assert lines[4] == "3,14/15,3/2,1,1"
+
+
+@pytest.mark.parametrize("backend", ["ztriangle", "explicit", "recurrence"])
+def test_table_poly_coeffs_match_per_row_polynomials(backend):
+    # one column sweep must give the same cells as one pbell_poly per row
+    from polybell.pbell import PBellBackend, pbell_poly
+
+    n_max, p = 14, 3
+    polys = [pbell_poly(n, p, PBellBackend(backend)) for n in range(n_max + 1)]
+    expected = ["n\\k," + ",".join(str(k) for k in range(n_max + 1))]
+    for n, poly in enumerate(polys):
+        cells = ",".join(format_rational(poly.coeff(k)) for k in range(n_max + 1))
+        expected.append(f"{n},{cells}")
+    text = render_table("pbell-poly-coeffs", n_max, p, PBellBackend(backend))
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_value_prints_more_digits_than_the_str_limit(capsys):
+    # B_1^(2000) = B_{1,2000}/2000! = 1/2001!, whose denominator has 5739
+    # digits, above the default int-to-str limit of Python >= 3.10.7
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    old = sys.get_int_max_str_digits() if has_limit else None
+    try:
+        if has_limit:
+            sys.set_int_max_str_digits(0)
+        expected = f"1/{math.factorial(2001)}\n"
+        if has_limit:
+            sys.set_int_max_str_digits(4300)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "value", "--kind", "polybell", "--n", "1", "--p", "2000")
+        elapsed = time.perf_counter() - start
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(old)
+    assert code == 0, err
+    assert out == expected and len(expected) > 4300
+    assert elapsed < 5
 
 
 def test_table_out_file_and_write_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polybell.exact_core import (
@@ -154,6 +154,32 @@ def test_egf_mul_associates(a, b, c):
 def test_egf_mul_identity(a):
     s = EgfSeries(a)
     assert egf_mul(s, egf_constant(Fraction(1), s.order)).coeffs == s.coeffs
+
+
+mixed_coeffs = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(mixed_coeffs, mixed_coeffs)
+@settings(max_examples=80)
+@example([Fraction(3, 4)], [Fraction(-5, 6), Fraction(1, 7)])
+@example([Fraction(0)] * 4, [Fraction(1, 3), Fraction(0), Fraction(-2, 9), Fraction(5)])
+def test_egf_mul_matches_per_term_fraction_convolution(a, b):
+    # the common-denominator int convolution against the naive Fraction one
+    n = min(len(a), len(b)) - 1
+    naive = tuple(
+        sum((math.comb(m, k) * a[k] * b[m - k] for k in range(m + 1)), Fraction(0))
+        for m in range(n + 1)
+    )
+    got = egf_mul(EgfSeries(a), EgfSeries(b)).coeffs
+    assert got == naive
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_egf_mul_is_binomial_convolution():

@@ -139,6 +139,17 @@ def test_displayed_low_degree_forms_generic_p():
         )
 
 
+def test_integer_triangle_column_matches_explicit():
+    # the fraction-free Z-triangle sweep is a cache-free route; check it
+    # against the Stirling sum cell by cell, and its single-value path too
+    for p in range(13):
+        column = pbell_column(40, p, PBellBackend.Z_TRIANGLE)
+        assert column == [pbell_explicit(n, p) for n in range(41)], p
+        assert all(type(c) is Fraction for c in column)
+        for n in (0, 1, 17, 40):
+            assert pbell_z_triangle(n, p) == column[n]
+
+
 def test_cross_check_passes_on_clean_cache():
     assert pbell_number(7, 3, cross_check=True) == pbell_number(7, 3)
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -232,3 +233,119 @@ def test_cache_concurrent_fill_is_consistent():
     # spot value against the explicit alternating-sum formula
     expected = sum((-1) ** (30 - j) * comb(30, j) * j**60 for j in range(31)) // factorial(30)
     assert results[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# the resumable row fill
+
+
+def _s2_rows(n_max: int, poke: dict | None = None) -> list[list]:
+    """Rows 0..n_max of {n,k} by the plain recurrence, with ``poke`` cells
+    replaced as they are reached, so a corrupted cell feeds the rows above it."""
+    poke = poke or {}
+    rows = [[poke.get((0, 0), 1)]]
+    for r in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        row = [0] + [c * prev[c] + prev[c - 1] for c in range(1, r + 1)]
+        rows.append([poke.get((r, c), v) for c, v in enumerate(row)])
+    return rows
+
+
+def test_integer_families_are_ints():
+    assert type(stirling2(10, 3)) is int
+    assert type(stirling1(10, 3)) is int
+    assert type(r_stirling2(10, 3, 2)) is int
+    assert type(bell_number(10)) is int
+    assert type(stirling2(3, 5)) is int
+
+
+def test_forced_cell_before_fill_spreads():
+    CACHE.force(("s2", 6, 3), Fraction(91))
+    expected = _s2_rows(9, {(6, 3): 91})
+    assert [stirling2(9, k) for k in range(10)] == expected[9]
+    assert stirling2(6, 3) == 91
+    assert stirling2(7, 3) == 3 * 91 + 31
+
+
+def test_forced_cell_after_partial_fill_spreads():
+    assert stirling2(4, 2) == 7
+    CACHE.force(("s2", 6, 3), Fraction(91))
+    expected = _s2_rows(9, {(6, 3): 91})
+    assert [stirling2(9, k) for k in range(10)] == expected[9]
+    assert [stirling2(5, k) for k in range(6)] == _s2_rows(5)[5]
+
+
+def test_forced_cell_in_complete_row_is_kept_but_not_refilled():
+    # rows already filled are never recomputed, so the poke is read back
+    # but does not reach rows that were complete before it
+    assert stirling2(10, 4) == 34105
+    CACHE.force(("s2", 6, 3), Fraction(91))
+    assert stirling2(6, 3) == 91
+    assert [stirling2(12, k) for k in range(13)] == _s2_rows(12)[12]
+
+
+def test_forced_diagonal_cell_does_not_skip_lower_rows():
+    CACHE.force(("s2", 10, 10), 1)
+    assert stirling2(10, 4) == 34105
+    clean = _s2_rows(10)
+    for r in range(11):
+        for c in range(r + 1):
+            assert CACHE.get(("s2", r, c)) == clean[r][c], (r, c)
+
+
+def test_sequential_requests_put_each_cell_once(monkeypatch):
+    import polybell.special_numbers as sn
+
+    class CountingCache(TriangleCache):
+        def __init__(self):
+            super().__init__()
+            self.puts: dict = {}
+
+        def put(self, key, value):
+            self.puts[key] = self.puts.get(key, 0) + 1
+            return super().put(key, value)
+
+    cache = CountingCache()
+    monkeypatch.setattr(sn, "CACHE", cache)
+    for n in range(201):
+        assert stirling2(n, 1) == (1 if n >= 1 else 0)
+    cells = {("s2", r, c) for r in range(201) for c in range(r + 1)}
+    assert set(cache.puts) == cells
+    assert set(cache.puts.values()) == {1}
+
+
+def test_racing_fills_never_skip_a_row():
+    # threads resume from each other's recorded row counts; a count that ran
+    # ahead of the rows actually written would leave cells missing
+    clean = _s2_rows(120)
+    results: dict = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda n=n: results.update({n: stirling2(n, n // 3)}))
+            for n in range(40, 121, 10)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {n: clean[n][n // 3] for n in range(40, 121, 10)}
+    for r in range(121):
+        assert [CACHE.get(("s2", r, c)) for c in range(r + 1)] == clean[r], r
+
+
+def test_cache_clear_forgets_complete_rows():
+    cache = TriangleCache()
+
+    def step(tag, r, c):
+        return 10 * r + c
+
+    cache.fill_rows("t", 3, step)
+    assert len(cache) == 10 and cache.get(("t", 3, 2)) == 32
+    cache.clear()
+    cache.fill_rows("t", 1, step)
+    assert len(cache) == 3 and cache.get(("t", 0, 0)) == 0
