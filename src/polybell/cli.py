@@ -14,15 +14,15 @@ Exit codes: 0 success, 1 a check failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, inf
 
 from .exact_core import format_rational, parse_rational
-from .identity_verifier import IDENTITY_IDS, run_all, thread_count
+from .identity_verifier import IDENTITY_IDS, run_all
 from .numeric_bridge import (
     RngStream,
     cesaro_pbell,
@@ -33,7 +33,7 @@ from .numeric_bridge import (
     pmf_check,
 )
 from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, pbell_column, pbell_number
-from .polybell import polybell_neg, polybell_neg_derivative, polybell_pos
+from .polybell import polybell_neg, polybell_neg_derivative, polybell_neg_row
 
 __all__ = ["main", "main_entry", "render_table"]
 
@@ -59,23 +59,10 @@ def _rational_or_float(text: str):
 def _table_cells(kind: str, n_max: int, p_max: int, backend: PBellBackend):
     """Yield (column label, [exact cell for n = 0..n_max]) per column."""
     if kind == "pbell-numbers":
-        columns = list(range(p_max + 1))
-
-        def column(p: int) -> list[Fraction]:
-            return pbell_column(n_max, p, backend)
-
-        workers = thread_count()
-        if workers > 1 and len(columns) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                data = list(pool.map(column, columns))
-        else:
-            data = [column(p) for p in columns]
-        return [(str(p), data[i]) for i, p in enumerate(columns)]
+        return [(str(p), pbell_column(n_max, p, backend)) for p in range(p_max + 1)]
     if kind == "polybell-neg":
-        return [
-            (str(-p), [polybell_neg(n, p) for n in range(n_max + 1)])
-            for p in range(1, p_max + 1)
-        ]
+        rows = [polybell_neg_row(n, p_max) for n in range(n_max + 1)]
+        return [(str(-p), [row[p] for row in rows]) for p in range(1, p_max + 1)]
     if kind == "pbell-poly-coeffs":
         # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}
         column = pbell_column(n_max, p_max, backend)
@@ -121,32 +108,37 @@ def render_table(
 # subcommand handlers
 
 
+def _approx(value: Fraction) -> str:
+    """``repr(float(value))``, or, outside the normal float range, 17
+    significant digits from exact decimal division of the integers."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = inf
+    if value == 0 or sys.float_info.min <= abs(f) < inf:
+        return repr(f)
+    ctx = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return format(ctx.divide(value.numerator, value.denominator).normalize(ctx), "e")
+
+
 def _cmd_value(args) -> int:
     backend = _backend(args.backend)
-    if args.kind == "pbell":
-        if args.p < 0:
-            print("value: --kind pbell requires p >= 0", file=sys.stderr)
-            return 2
+    if args.p >= 0:
         value = pbell_number(args.n, args.p, backend, cross_check=args.cross_check)
-    else:  # polybell, signed order
-        if args.p >= 0:
-            value = polybell_pos(args.n, args.p, backend)
-            if args.cross_check:
-                for other in PBellBackend:
-                    alt = polybell_pos(args.n, args.p, other)
-                    if alt != value:
-                        raise BackendMismatch(
-                            args.n, args.p, {backend.value: value, other.value: alt}
-                        )
-        else:
-            value = polybell_neg(args.n, -args.p)
-            if args.cross_check:
-                alt = polybell_neg_derivative(args.n, -args.p)
-                if alt != value:
-                    raise BackendMismatch(args.n, args.p, {"direct": value, "derivative": alt})
+        if args.kind == "polybell":
+            value /= factorial(args.p)
+    elif args.kind == "pbell":
+        print("value: --kind pbell requires p >= 0", file=sys.stderr)
+        return 2
+    else:  # polybell, negative order
+        value = polybell_neg(args.n, -args.p)
+        if args.cross_check:
+            alt = polybell_neg_derivative(args.n, -args.p)
+            if alt != value:
+                raise BackendMismatch(args.n, args.p, {"direct": value, "derivative": alt})
     text = format_rational(value)
     if args.approx:
-        text += f" approx={float(value)!r}"
+        text += f" approx={_approx(value)}"
     print(text)
     return 0
 

@@ -19,12 +19,13 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exact_core import Polynomial, poly_eval
-from .pbell import DEFAULT_BACKEND, PBellBackend, pbell_number, pbell_poly
-from .special_numbers import bell_number, bell_poly, stirling2
+from .pbell import DEFAULT_BACKEND, PBellBackend, _check_np, pbell_number, pbell_poly
+from .special_numbers import bell_number, bell_poly, stirling2, stirling2_row
 
 __all__ = [
     "polybell_pos",
     "polybell_neg",
+    "polybell_neg_row",
     "polybell_neg_int",
     "polybell_neg_derivative",
     "polybell_neg_row_poly",
@@ -32,11 +33,6 @@ __all__ = [
     "duality_counterexample",
     "iterated_integral_pbell",
 ]
-
-
-def _check_np(n: int, p: int) -> None:
-    if n < 0 or p < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, p={p}")
 
 
 def polybell_pos(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Fraction:
@@ -48,7 +44,19 @@ def polybell_pos(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Fra
 def polybell_neg(n: int, p: int) -> Fraction:
     """B_n^(-p) = sum_{k >= p} k!/(k-p)! {n,k}; an integer-valued Rational."""
     _check_np(n, p)
-    return Fraction(sum(perm(k, p) * stirling2(n, k) for k in range(p, n + 1)))
+    row = stirling2_row(n)
+    return Fraction(sum(perm(k, p) * row[k] for k in range(p, n + 1)))
+
+
+def polybell_neg_row(n: int, p_max: int) -> list[int]:
+    """[B_n^(0), B_n^(-1), ..., B_n^(-p_max)] from one read of Stirling row n."""
+    _check_np(n, p_max)
+    terms = stirling2_row(n)  # term k of order p is k!/(k-p)! {n,k}, zero for k < p
+    out = []
+    for p in range(p_max + 1):
+        out.append(sum(terms))
+        terms = [(k - p) * t for k, t in enumerate(terms)]
+    return out
 
 
 def polybell_neg_int(n: int, p: int) -> int:
@@ -72,7 +80,7 @@ def polybell_neg_row_poly(n: int) -> Polynomial:
     """The row polynomial sum_p B_n^(-p) y^p/p!, which equals phi_n(1 + y)."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got n={n}")
-    return Polynomial([polybell_neg(n, p) / factorial(p) for p in range(n + 1)])
+    return Polynomial([Fraction(v, factorial(p)) for p, v in enumerate(polybell_neg_row(n, n))])
 
 
 def polybell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polynomial:

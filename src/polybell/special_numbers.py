@@ -38,6 +38,7 @@ __all__ = [
     "reset_cache",
     "stirling1",
     "stirling2",
+    "stirling2_row",
     "r_stirling2",
     "weighted_stirling_poly",
     "whitney2",
@@ -125,6 +126,14 @@ def _cached(tag: str, r: int, c: int):
     return 0 if val is None else val
 
 
+def _s2_step(tag: str, r: int, c: int) -> int:
+    if r == 0:
+        return 1 if c == 0 else 0
+    if c == 0:
+        return 0
+    return c * _cached(tag, r - 1, c) + _cached(tag, r - 1, c - 1)
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind {n, k}."""
     _check_indices(n, k)
@@ -133,16 +142,16 @@ def stirling2(n: int, k: int) -> int:
     hit = CACHE.get((_S2, n, k))
     if hit is not None:
         return hit
-
-    def step(tag: str, r: int, c: int) -> int:
-        if r == 0:
-            return 1 if c == 0 else 0
-        if c == 0:
-            return 0
-        return c * _cached(tag, r - 1, c) + _cached(tag, r - 1, c - 1)
-
-    CACHE.fill_rows(_S2, n, step)
+    CACHE.fill_rows(_S2, n, _s2_step)
     return CACHE.get((_S2, n, k))
+
+
+def stirling2_row(n: int) -> list[int]:
+    """[{n,0}, ..., {n,n}]: one fill, then plain cache reads, so cells
+    planted by ``force`` win as they do in :func:`stirling2`."""
+    _check_indices(n, 0)
+    CACHE.fill_rows(_S2, n, _s2_step)
+    return [CACHE.get((_S2, n, k)) for k in range(n + 1)]
 
 
 def stirling1(n: int, k: int) -> int:
@@ -262,7 +271,7 @@ def bell_poly(n: int) -> Polynomial:
     """Bell polynomial phi_n(x) = sum_k {n,k} x^k."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got n={n}")
-    return Polynomial([stirling2(n, k) for k in range(n + 1)])
+    return Polynomial(stirling2_row(n))
 
 
 def bell_number(n: int) -> int:
@@ -272,6 +281,6 @@ def bell_number(n: int) -> int:
     hit = CACHE.get((_BELL, n, 0))
     if hit is not None:
         return hit
-    value = sum(stirling2(n, k) for k in range(n + 1))
+    value = sum(stirling2_row(n))
     CACHE.put((_BELL, n, 0), value)
     return CACHE.get((_BELL, n, 0))

@@ -48,6 +48,20 @@ def test_value_approx_and_cross_check(capsys):
     assert out.startswith("2057/42 approx=48.97619")
 
 
+@pytest.mark.parametrize(
+    "kind,n,p,approx",
+    [("pbell", 300, 7, "4.4326748489503268e+444"), ("polybell", 1, 400, "3.8944080086424694e-872")],
+)
+def test_value_approx_beyond_float_range(capsys, kind, n, p, approx):
+    code, out, _ = run_cli(
+        capsys, "value", "--kind", kind, "--n", str(n), "--p", str(p), "--approx"
+    )
+    assert code == 0
+    exact, printed = out.rstrip("\n").split(" approx=")
+    assert printed == approx
+    assert abs(Fraction(printed) / Fraction(exact) - 1) < 1e-16
+
+
 def test_value_polybell_positive_order(capsys):
     # B_4^(2) = B_{4,2}/2! = 13/12
     code, out, _ = run_cli(capsys, "value", "--kind", "polybell", "--n", "4", "--p", "2")
@@ -67,6 +81,17 @@ def test_value_cross_check_failure_exits_one(capsys):
     )
     assert code == 1
     assert "cross-check failed" in err and "explicit" in err
+
+
+def test_value_polybell_cross_check_names_every_backend(capsys):
+    CACHE.force(("s2", 6, 3), Fraction(91))
+    code, _, err = run_cli(
+        capsys, "value", "--kind", "polybell", "--n", "6", "--p", "0",
+        "--backend", "explicit", "--cross-check",
+    )
+    assert code == 1 and "cross-check failed" in err
+    for name in ("explicit", "recurrence", "ztriangle", "genbernoulli"):
+        assert f"{name}=" in err, name
 
 
 def test_usage_error_is_exit_two(capsys):

@@ -108,6 +108,25 @@ def test_cesaro_reference_cases():
         assert check.passed
 
 
+def test_cesaro_settles_and_passes_for_n_up_to_11():
+    for n in range(1, 12):
+        for p in range(1, 7):
+            check = cesaro_pbell(n, p)
+            assert check.passed, (n, p, check.abs_error)
+
+
+@pytest.mark.parametrize("n,p", [(12, 5), (13, 5), (14, 1), (14, 2), (20, 6), (30, 1)])
+def test_cesaro_beyond_domain_settles_right_or_raises(n, p):
+    # past n = 11 float cancellation may stop the quadrature from settling,
+    # but a value it does settle on must never be a false fail
+    try:
+        check = cesaro_pbell(n, p)
+    except RuntimeError as exc:
+        assert "did not settle" in str(exc)
+    else:
+        assert check.passed, (n, p, check.abs_error, check.tolerance)
+
+
 def test_cesaro_respects_node_count_and_validates():
     check = cesaro_pbell(2, 1, quad_points=8)
     assert check.passed

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import pytest
 
@@ -11,11 +11,12 @@ from polybell.polybell import (
     polybell_neg,
     polybell_neg_derivative,
     polybell_neg_int,
+    polybell_neg_row,
     polybell_neg_row_poly,
     polybell_poly,
     polybell_pos,
 )
-from polybell.special_numbers import bell_number, bell_poly
+from polybell.special_numbers import CACHE, bell_number, bell_poly, reset_cache, stirling2
 
 # rows n = 0..9 of the negative-order table, columns p = 1..4
 NEG_TABLE = [
@@ -36,6 +37,26 @@ def test_negative_order_reference_table():
     for n, row in enumerate(NEG_TABLE):
         for p, expected in enumerate(row, start=1):
             assert polybell_neg(n, p) == expected, (n, p)
+
+
+def test_negative_order_row_equals_per_cell_sums():
+    for n in range(61):
+        cells = [sum(perm(k, p) * stirling2(n, k) for k in range(p, n + 1)) for p in range(13)]
+        assert polybell_neg_row(n, 12) == cells, n
+        assert [polybell_neg(n, p) for p in range(13)] == cells, n
+
+
+def test_forced_stirling_cell_reaches_negative_orders():
+    clean = polybell_neg_row(6, 6)
+    # {6,3} enters B_6^(-p) with weight 3!/(3-p)!; poke it before and after a fill
+    for filled in (False, True):
+        reset_cache()
+        if filled:
+            polybell_neg_row(6, 6)
+        CACHE.force(("s2", 6, 3), 91)
+        expected = [clean[p] + perm(3, p) for p in range(7)]
+        assert polybell_neg_row(6, 6) == expected
+        assert [polybell_neg(6, p) for p in range(7)] == expected
 
 
 def test_negative_order_int_view():

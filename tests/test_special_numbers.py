@@ -24,6 +24,7 @@ from polybell.special_numbers import (
     r_stirling2,
     stirling1,
     stirling2,
+    stirling2_row,
     weighted_stirling_poly,
     whitney2,
 )
@@ -257,6 +258,15 @@ def test_integer_families_are_ints():
     assert type(r_stirling2(10, 3, 2)) is int
     assert type(bell_number(10)) is int
     assert type(stirling2(3, 5)) is int
+
+
+def test_stirling2_row_matches_cells():
+    for n in (30, 0, 12):
+        assert stirling2_row(n) == [stirling2(n, k) for k in range(n + 1)]
+    CACHE.force(("s2", 6, 3), 91)
+    assert stirling2_row(6)[3] == 91
+    with pytest.raises(ValueError):
+        stirling2_row(-1)
 
 
 def test_forced_cell_before_fill_spreads():
