@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 import time
@@ -39,10 +40,6 @@ __all__ = ["main", "main_entry", "render_table"]
 
 _TABLE_KINDS = ("pbell-numbers", "polybell-neg", "pbell-poly-coeffs")
 _BACKEND_NAMES = tuple(b.value for b in PBellBackend)
-
-
-def _backend(name: str) -> PBellBackend:
-    return PBellBackend(name)
 
 
 def _rational_or_float(text: str):
@@ -122,7 +119,7 @@ def _approx(value: Fraction) -> str:
 
 
 def _cmd_value(args) -> int:
-    backend = _backend(args.backend)
+    backend = PBellBackend(args.backend)
     if args.p >= 0:
         value = pbell_number(args.n, args.p, backend, cross_check=args.cross_check)
         if args.kind == "polybell":
@@ -144,7 +141,7 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    backend = _backend(args.backend)
+    backend = PBellBackend(args.backend)
     text = render_table(args.kind, args.nmax, args.pmax, backend, args.format)
     if args.out is None:
         sys.stdout.write(text)
@@ -260,6 +257,7 @@ def _cmd_bench(args) -> int:
 # parser
 
 
+@functools.cache  # one parser per process: building it costs about 30 parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polybell",

@@ -46,8 +46,6 @@ Identities covered, by id
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, exp, expm1, factorial
@@ -465,18 +463,8 @@ IDENTITY_IDS: tuple[str, ...] = (
 
 
 def thread_count() -> int:
-    """Worker cap for embarrassingly parallel sections.
-
-    POLYBELL_THREADS overrides the default of min(4, cpu count); values <= 1
-    mean serial execution.
-    """
-    raw = os.environ.get("POLYBELL_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"POLYBELL_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(4, os.cpu_count() or 1))
+    """Worker count of the identity suite: 1, since the suite runs serially."""
+    return 1
 
 
 def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], CheckReport]]]:
@@ -523,9 +511,4 @@ def run_all(
         unknown = sorted(set(only) - set(IDENTITY_IDS))
         if unknown:
             raise KeyError(f"unknown identity ids: {', '.join(unknown)}")
-    jobs = [job for name, job in _jobs(n_max, p_max, order) if only is None or name in only]
-    workers = thread_count()
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+    return [job() for name, job in _jobs(n_max, p_max, order) if only is None or name in only]

@@ -215,7 +215,7 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
     """
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
-    x_exact = x if isinstance(x, Fraction) else Fraction(x) if isinstance(x, float) else rational(x)
+    x_exact = Fraction(x) if isinstance(x, float) else rational(x)
     xf = float(x_exact)
     total = 0.0
     terms = 0
@@ -363,7 +363,7 @@ def mc_moment_check(
     """
     if n < 0 or p < 1 or samples < 1:
         raise ValueError(f"need n >= 0, p >= 1, samples >= 1; got {n}, {p}, {samples}")
-    x_exact = x if isinstance(x, Fraction) else Fraction(x) if isinstance(x, float) else rational(x)
+    x_exact = Fraction(x) if isinstance(x, float) else rational(x)
     xf = float(x_exact)
     mean, std = _chunked_moments(p, samples, rng, lambda z: (xf + z.astype(np.float64)) ** n)
     tolerance = 4.0 * std / math.sqrt(samples)

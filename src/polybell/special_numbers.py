@@ -4,7 +4,7 @@ Stirling numbers of both kinds, their r-shifted and weighted-polynomial
 relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
 Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
 ``int``s, the Bernoulli families exact ``Fraction``s; all are memoized in one
-shared write-once triangle cache.
+shared write-once triangle cache, filled row by row by ``TriangleCache.fill_rows``.
 
 Conventions
 -----------
@@ -26,7 +26,6 @@ Conventions
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 
@@ -54,27 +53,26 @@ Key = tuple  # (family tag, row, col)
 class TriangleCache:
     """Write-once memo for triangular families, keyed by (tag, row, col).
 
-    Reads are lock-free (CPython dict reads are atomic); inserts go through
-    ``put``, which keeps the first value stored so two threads racing on the
-    same cell always observe the same value.  ``force`` exists for fault
-    injection in tests and is the only way to overwrite an entry.
+    There is no lock: every read and write is one dict operation, which is
+    atomic in CPython, and ``put`` is ``dict.setdefault``, so two threads
+    racing on the same cell still observe the same value.  ``force`` exists
+    for fault injection in tests and is the only way to overwrite an entry.
     """
 
     def __init__(self) -> None:
         self._store: dict[Key, object] = {}
         self._rows: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def get(self, key: Key):
         return self._store.get(key)
 
     def put(self, key: Key, value):
-        with self._lock:
-            return self._store.setdefault(key, value)
+        return self._store.setdefault(key, value)
 
-    def fill_rows(self, tag: str, n_max: int, step) -> None:
+    def fill_rows(self, tag: str, n_max: int, step, width: int | None = None) -> None:
         """Fill rows 0..n_max of ``tag`` with ``step(tag, r, c)``, in increasing
-        order so every read of row r-1 hits the cache.
+        order so every read of row r-1 hits the cache.  Row r holds columns
+        0..r (a triangle) when ``width`` is None, else columns 0..width-1.
 
         A fill resumes after the last row it recorded as complete; ``put``
         keeps the first value, so cells planted by ``force`` win and feed
@@ -82,19 +80,17 @@ class TriangleCache:
         a redundant refill; ``clear`` must not race a fill.
         """
         for r in range(self._rows.get(tag, 0), n_max + 1):
-            for c in range(r + 1):
+            for c in range(r + 1 if width is None else width):
                 self.put((tag, r, c), step(tag, r, c))
             self._rows[tag] = r + 1
 
     def force(self, key: Key, value) -> None:
         """Test hook: overwrite one cell, bypassing write-once semantics."""
-        with self._lock:
-            self._store[key] = value
+        self._store[key] = value
 
     def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-            self._rows.clear()
+        self._store.clear()
+        self._rows.clear()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -108,7 +104,6 @@ CACHE = TriangleCache()
 _S1 = "s1"
 _S2 = "s2"
 _BERN = "bernoulli"
-_GENBERN = "genbernoulli"
 _BELL = "bell"
 
 
@@ -126,6 +121,15 @@ def _cached(tag: str, r: int, c: int):
     return 0 if val is None else val
 
 
+def _cell(tag: str, n: int, k: int, step, width: int | None = None):
+    """Cell (n, k) of ``tag``: one cache read on a hit, else fill rows 0..n."""
+    hit = CACHE.get((tag, n, k))
+    if hit is None:
+        CACHE.fill_rows(tag, n, step, width)
+        hit = CACHE.get((tag, n, k))
+    return hit
+
+
 def _s2_step(tag: str, r: int, c: int) -> int:
     if r == 0:
         return 1 if c == 0 else 0
@@ -137,13 +141,7 @@ def _s2_step(tag: str, r: int, c: int) -> int:
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind {n, k}."""
     _check_indices(n, k)
-    if k > n:
-        return 0
-    hit = CACHE.get((_S2, n, k))
-    if hit is not None:
-        return hit
-    CACHE.fill_rows(_S2, n, _s2_step)
-    return CACHE.get((_S2, n, k))
+    return 0 if k > n else _cell(_S2, n, k, _s2_step)
 
 
 def stirling2_row(n: int) -> list[int]:
@@ -154,24 +152,18 @@ def stirling2_row(n: int) -> list[int]:
     return [CACHE.get((_S2, n, k)) for k in range(n + 1)]
 
 
+def _s1_step(tag: str, r: int, c: int) -> int:
+    if r == 0:
+        return 1 if c == 0 else 0
+    if c == 0:
+        return 0
+    return _cached(tag, r - 1, c - 1) - (r - 1) * _cached(tag, r - 1, c)
+
+
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     _check_indices(n, k)
-    if k > n:
-        return 0
-    hit = CACHE.get((_S1, n, k))
-    if hit is not None:
-        return hit
-
-    def step(tag: str, r: int, c: int) -> int:
-        if r == 0:
-            return 1 if c == 0 else 0
-        if c == 0:
-            return 0
-        return _cached(tag, r - 1, c - 1) - (r - 1) * _cached(tag, r - 1, c)
-
-    CACHE.fill_rows(_S1, n, step)
-    return CACHE.get((_S1, n, k))
+    return 0 if k > n else _cell(_S1, n, k, _s1_step)
 
 
 def r_stirling2(n: int, k: int, r: int) -> int:
@@ -181,18 +173,13 @@ def r_stirling2(n: int, k: int, r: int) -> int:
         raise ValueError(f"shift must be nonnegative, got r={r}")
     if k > n:
         return 0
-    tag = f"s2r:{r}"
-    hit = CACHE.get((tag, n, k))
-    if hit is not None:
-        return hit
 
     def step(t: str, row: int, c: int) -> int:
         if row == 0:
             return 1 if c == 0 else 0
         return (c + r) * _cached(t, row - 1, c) + _cached(t, row - 1, c - 1)
 
-    CACHE.fill_rows(tag, n, step)
-    return CACHE.get((tag, n, k))
+    return _cell(f"s2r:{r}", n, k, step)
 
 
 def weighted_stirling_poly(n: int, k: int) -> Polynomial:
@@ -216,23 +203,26 @@ def whitney2(n: int, k: int, m: int, r: int) -> Fraction:
     return Fraction(m) ** (n - k) * poly_eval(weighted_stirling_poly(n, k), Fraction(r, m))
 
 
+def _bern_step(tag: str, m: int, c: int) -> Fraction:
+    if m == 0:
+        return Fraction(1)
+    return -sum(comb(m + 1, j) * _cached(tag, j, 0) for j in range(m)) / (m + 1)
+
+
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got n={n}")
-    hit = CACHE.get((_BERN, n, 0))
-    if hit is not None:
-        return hit
-    for m in range(n + 1):
-        key = (_BERN, m, 0)
-        if key in CACHE:
-            continue
-        if m == 0:
-            CACHE.put(key, Fraction(1))
-            continue
-        acc = sum(comb(m + 1, j) * _cached(_BERN, j, 0) for j in range(m))
-        CACHE.put(key, -acc / (m + 1))
-    return CACHE.get((_BERN, n, 0))
+    _check_indices(n, 0)
+    return _cell(_BERN, n, 0, _bern_step, 1)
+
+
+def _genbern_tag(alpha: int) -> str:
+    """One column per order; order 1 is the Bernoulli column itself."""
+    return _BERN if alpha == 1 else f"genbernoulli:{alpha}"
+
+
+def _genbern_step(tag: str, m: int, c: int) -> Fraction:
+    lower = _genbern_tag(int(tag.partition(":")[2]) - 1)
+    return sum(comb(m, j) * _cached(_BERN, j, 0) * _cached(lower, m - j, 0) for j in range(m + 1))
 
 
 def gen_bernoulli(n: int, alpha: int) -> Fraction:
@@ -242,45 +232,26 @@ def gen_bernoulli(n: int, alpha: int) -> Fraction:
         raise ValueError(f"indices must be nonnegative, got n={n}, alpha={alpha}")
     if alpha == 0:
         return Fraction(1) if n == 0 else Fraction(0)
-    if alpha == 1:
-        return bernoulli(n)
-    hit = CACHE.get((_GENBERN, n, alpha))
+    hit = CACHE.get((_genbern_tag(alpha), n, 0))
     if hit is not None:
         return hit
     bernoulli(n)
-    for a in range(2, alpha + 1):
-        for m in range(n + 1):
-            key = (_GENBERN, m, a)
-            if key in CACHE:
-                continue
-            if a == 2:
-                acc = sum(
-                    comb(m, j) * _cached(_BERN, j, 0) * _cached(_BERN, m - j, 0)
-                    for j in range(m + 1)
-                )
-            else:
-                acc = sum(
-                    comb(m, j) * _cached(_BERN, j, 0) * _cached(_GENBERN, m - j, a - 1)
-                    for j in range(m + 1)
-                )
-            CACHE.put(key, acc)
-    return CACHE.get((_GENBERN, n, alpha))
+    for a in range(2, alpha + 1):  # order a reads order a-1, already filled to row n
+        CACHE.fill_rows(_genbern_tag(a), n, _genbern_step, 1)
+    return CACHE.get((_genbern_tag(alpha), n, 0))
 
 
 def bell_poly(n: int) -> Polynomial:
     """Bell polynomial phi_n(x) = sum_k {n,k} x^k."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got n={n}")
+    _check_indices(n, 0)
     return Polynomial(stirling2_row(n))
+
+
+def _bell_step(tag: str, r: int, c: int) -> int:
+    return sum(stirling2_row(r))
 
 
 def bell_number(n: int) -> int:
     """Bell number phi_n = number of partitions of an n-set."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got n={n}")
-    hit = CACHE.get((_BELL, n, 0))
-    if hit is not None:
-        return hit
-    value = sum(stirling2_row(n))
-    CACHE.put((_BELL, n, 0), value)
-    return CACHE.get((_BELL, n, 0))
+    _check_indices(n, 0)
+    return _cell(_BELL, n, 0, _bell_step, 1)

@@ -41,6 +41,16 @@ def test_rational_coercions():
     assert rational("-7/3") == Fraction(-7, 3)
 
 
+def test_rational_rejects_floats():
+    # strict on purpose: exact containers must never absorb a rounded value
+    with pytest.raises(TypeError):
+        rational(0.5)
+    with pytest.raises(TypeError):
+        Polynomial([0.5])
+    with pytest.raises(TypeError):
+        EgfSeries([1, 0.5])
+
+
 def test_format_rational():
     assert format_rational(Fraction(5, 6)) == "5/6"
     assert format_rational(Fraction(-7, 3)) == "-7/3"

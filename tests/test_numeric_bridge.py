@@ -89,6 +89,11 @@ def test_dobinski_poly_reference_points():
         assert check.target == 1 and check.passed
 
 
+def test_float_point_is_read_exactly():
+    # a float point is taken at its exact binary value, the same as its fraction
+    assert dobinski_pbell_poly(5, 2, 0.5).target == dobinski_pbell_poly(5, 2, "1/2").target
+
+
 def test_dobinski_poly_negative_point():
     check = dobinski_pbell_poly(3, 2, Fraction(-3, 2))
     assert check.passed, check.abs_error

@@ -11,6 +11,7 @@ from polybell.exact_core import (
     egf_div,
     egf_em1,
     egf_mul,
+    egf_pow,
     egf_z,
     poly_eval,
 )
@@ -303,20 +304,26 @@ def test_forced_diagonal_cell_does_not_skip_lower_rows():
             assert CACHE.get(("s2", r, c)) == clean[r][c], (r, c)
 
 
-def test_sequential_requests_put_each_cell_once(monkeypatch):
+class CountingCache(TriangleCache):
+    def __init__(self):
+        super().__init__()
+        self.puts: dict = {}
+
+    def put(self, key, value):
+        self.puts[key] = self.puts.get(key, 0) + 1
+        return super().put(key, value)
+
+
+def _counting_cache(monkeypatch) -> CountingCache:
     import polybell.special_numbers as sn
-
-    class CountingCache(TriangleCache):
-        def __init__(self):
-            super().__init__()
-            self.puts: dict = {}
-
-        def put(self, key, value):
-            self.puts[key] = self.puts.get(key, 0) + 1
-            return super().put(key, value)
 
     cache = CountingCache()
     monkeypatch.setattr(sn, "CACHE", cache)
+    return cache
+
+
+def test_sequential_requests_put_each_cell_once(monkeypatch):
+    cache = _counting_cache(monkeypatch)
     for n in range(201):
         assert stirling2(n, 1) == (1 if n >= 1 else 0)
     cells = {("s2", r, c) for r in range(201) for c in range(r + 1)}
@@ -359,3 +366,38 @@ def test_cache_clear_forgets_complete_rows():
     cache.clear()
     cache.fill_rows("t", 1, step)
     assert len(cache) == 3 and cache.get(("t", 0, 0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the one-column families share the same fill
+
+
+def test_one_column_families_put_each_cell_once(monkeypatch):
+    cache = _counting_cache(monkeypatch)
+    for n in range(31):
+        bernoulli(n)
+        gen_bernoulli(n, 4)
+        bell_number(n)
+    cells = {(tag, r, 0) for r in range(31) for tag in ("bernoulli", "bell")}
+    cells |= {(f"genbernoulli:{a}", r, 0) for a in (2, 3, 4) for r in range(31)}
+    cells |= {("s2", r, c) for r in range(31) for c in range(r + 1)}
+    assert set(cache.puts) == cells
+    assert set(cache.puts.values()) == {1}
+
+
+def test_gen_bernoulli_against_series_powers():
+    # independent route: powers of the series z/(e^z - 1)
+    q = egf_div(egf_z(31), egf_em1(31))
+    for a in range(7):
+        power = egf_pow(q, a)
+        assert [gen_bernoulli(n, a) for n in range(31)] == [power.coeff(n) for n in range(31)]
+
+
+def test_forced_bernoulli_cell_before_fill_spreads():
+    CACHE.force(("bernoulli", 4, 0), Fraction(1))
+    b = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0), Fraction(1)]
+    b.append(-sum(comb(6, j) * b[j] for j in range(5)) / 6)
+    b.append(-sum(comb(7, j) * b[j] for j in range(6)) / 7)
+    assert bernoulli(4) == 1
+    assert bernoulli(6) == b[6] != Fraction(1, 42)
+    assert gen_bernoulli(6, 2) == sum(comb(6, j) * b[j] * b[6 - j] for j in range(7))
