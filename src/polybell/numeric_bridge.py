@@ -101,12 +101,6 @@ _NP_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _NP_M1
-    x = (x ^ (x >> np.uint64(27))) * _NP_M2
-    return x ^ (x >> np.uint64(31))
-
-
 class RngStream:
     """Deterministic, splittable uniform stream (see module docstring)."""
 
@@ -122,11 +116,17 @@ class RngStream:
         """The next ``count`` doubles in [0, 1), advancing the stream."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
+        x = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
         self._pos += count
-        ctr = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
-        bits = _mix64_np(ctr)
-        return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        x *= np.uint64(_GOLDEN)  # the SplitMix64 steps, in place on one array
+        x += np.uint64(self.seed)
+        x ^= x >> np.uint64(30)
+        x *= _NP_M1
+        x ^= x >> np.uint64(27)
+        x *= _NP_M2
+        x ^= x >> np.uint64(31)
+        x >>= np.uint64(11)
+        return x.astype(np.float64) * 2.0**-53
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -185,7 +185,10 @@ def dobinski_pbell(n: int, p: int, tol: float = 1e-9) -> NumericCheck:
 
     The hypergeometric factor lies in (0, 1], so the tail is dominated by the
     classical Dobinski tail and the loop stops once the weight drops three
-    orders below ``tol``.
+    orders below ``tol``.  The terms are positive, so rounding leaves the sum
+    within about terms * 2^-53 * estimate (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4); the check passes within the larger of
+    that bound and ``tol``.
     """
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
@@ -200,7 +203,8 @@ def dobinski_pbell(n: int, p: int, tol: float = 1e-9) -> NumericCheck:
     else:
         raise RuntimeError(f"Dobinski series for ({n}, {p}) did not settle in 500 terms")
     target = pbell_number(n, p)
-    return NumericCheck(total, target, abs(total - float(target)), tol, terms)
+    tolerance = max(tol, terms * 2**-53 * total)
+    return NumericCheck(total, target, abs(total - float(target)), tolerance, terms)
 
 
 def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e-9) -> NumericCheck:
@@ -285,22 +289,24 @@ def cesaro_pbell(n: int, p: int, quad_points: int = 16, tol: float = 1e-6) -> Nu
 
 def _beta_poisson_vector(p: int, count: int, stream: RngStream) -> np.ndarray:
     """``count`` beta-Poisson draws: first ``count`` uniforms feed the
-    Beta(1,p) inverse CDF, the next ``count`` drive Poisson inversion."""
-    u_lambda = stream.uniforms(count)
+    Beta(1,p) inverse CDF, the next ``count`` drive Poisson inversion.  Each
+    round keeps only the draws whose cdf is still at most their uniform; a
+    stopped draw never restarts, so the kept ones see the same float ops."""
+    lam = 1.0 - stream.uniforms(count) ** (1.0 / p)
     u_z = stream.uniforms(count)
-    lam = 1.0 - u_lambda ** (1.0 / p)
-    pmf = np.exp(-lam)
-    cdf = pmf.copy()
+    pmf = cdf = np.exp(-lam)
     z = np.zeros(count, dtype=np.int64)
+    idx = np.arange(count)
     k = 0
     while True:
-        active = u_z >= cdf
-        if not active.any():
+        keep = np.flatnonzero(u_z >= cdf)
+        if not keep.size:
             return z
+        idx, lam, pmf, cdf, u_z = idx[keep], lam[keep], pmf[keep], cdf[keep], u_z[keep]
         k += 1
         pmf *= lam / k
-        cdf += np.where(active, pmf, 0.0)
-        z += active
+        cdf += pmf
+        z[idx] = k
         if k > 200:
             raise RuntimeError("Poisson inversion runaway; lambda should be <= 1")
 

@@ -13,7 +13,8 @@ Four independent computation routes are provided and cross-checked:
 * ``recurrence``   -- a derivative recurrence coupling columns p and p+1:
                       B_{n+1,p} = (n+1) B_{n,p}
                                   - sum_{k=0}^{n-2} C(n,k) (-1)^{n-k} B_{k+1,p}
-                                  - p/(p+1) B_{n,p+1};
+                                  - p/(p+1) B_{n,p+1},
+                      run on the integers V_{n,p} = B_{n,p} (n+p)!/p!;
 * ``ztriangle``    -- the triangle Z_{n+1,m} = (m+1)/(m+p+1) Z_{n,m+1} + m Z_{n,m}
                       with Z_{0,m} = 1 and B_{n,p} = Z_{n,0} (the fast route);
 * ``genbernoulli`` -- a closed form through Bell numbers and higher-order
@@ -85,28 +86,36 @@ def pbell_explicit(n: int, p: int) -> Fraction:
     )
 
 
-def _recurrence_table(n_max: int, p: int) -> dict[tuple[int, int], Fraction]:
-    """Rows 0..n_max of the derivative recurrence, columns p..p+n_max.
+def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
+    """[B_{0,p}, ..., B_{n_max,p}] by the derivative recurrence.
 
-    Row r+1 at column c needs row r at columns c and c+1 plus rows below r at
-    column c, so the table is filled one full row at a time over a shrinking
-    column window.
+    Row r+1 at column c needs row r at columns c and c+1 and the rows below r
+    at column c, so ``rows[r][j]``, column c = p + j, fill one full row at a
+    time over a shrinking window.  They hold the integers V_{r,c} =
+    B_{r,c} (r+c)!/c!: V_{0,c} = 1 and V_{r+1,c} = (r+1)(r+1+c) V_{r,c}
+    - c V_{r,c+1} - sum_{k<r-1} C(r,k) (-1)^{r-k} V_{k+1,c} (r+1+c)!/(k+1+c)!,
+    the sum by Horner's rule in the factors k+1+c (one big product per term).
+    Each B_{r,p} = V_{r,p} / ((r+p)!/p!) is reduced once.
     """
-    memo: dict[tuple[int, int], Fraction] = {}
-    for c in range(p, p + n_max + 1):
-        memo[(0, c)] = Fraction(1)
+    rows = [[1] * (n_max + 1)]
+    out, den = [Fraction(1)], 1
     for r in range(n_max):
-        for c in range(p, p + n_max - r):
-            acc = (r + 1) * memo[(r, c)]
-            acc -= sum(comb(r, k) * (-1) ** (r - k) * memo[(k + 1, c)] for k in range(r - 1))
-            acc -= Fraction(c, c + 1) * memo[(r, c + 1)]
-            memo[(r + 1, c)] = acc
-    return memo
+        signed = [comb(r, k) * (-1) ** (r - k) for k in range(r - 1)]
+        prev, row = rows[r], []
+        for j in range(n_max - r):
+            c, h = p + j, 0
+            for k, a in enumerate(signed):
+                h = h * (k + 1 + c) + a * rows[k + 1][j]
+            row.append((r + 1 + c) * ((r + 1) * prev[j] - (r + c) * h) - c * prev[j + 1])
+        rows.append(row)
+        den *= r + 1 + p
+        out.append(Fraction(row[0], den))
+    return out
 
 
 def pbell_recurrence(n: int, p: int) -> Fraction:
     _check_np(n, p)
-    return _recurrence_table(n, p)[(n, p)]
+    return _recurrence_table(n, p)[n]
 
 
 def _z_rows(n_max: int, p: int, every_row: bool = True) -> list[Fraction]:
@@ -182,8 +191,7 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
     if backend is PBellBackend.Z_TRIANGLE:
         return _z_rows(n_max, p)
     if backend is PBellBackend.DERIVATIVE_RECURRENCE:
-        table = _recurrence_table(n_max, p)
-        return [table[(r, p)] for r in range(n_max + 1)]
+        return _recurrence_table(n_max, p)
     fn = _BACKEND_FN[backend]
     return [fn(r, p) for r in range(n_max + 1)]
 

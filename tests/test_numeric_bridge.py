@@ -72,6 +72,26 @@ def test_dobinski_matches_exact_grid():
             assert check.target == pbell_number(n, p)
 
 
+def test_dobinski_tolerance_covers_float_rounding():
+    # the terms are positive, so the rounding error is at most about
+    # terms * 2^-53 * estimate; an absolute 1e-9 false-fails large values
+    for n, p in ((30, 3), (60, 3)):
+        check = dobinski_pbell(n, p)
+        assert check.passed, (n, p, check.abs_error, check.tolerance)
+        assert check.abs_error <= 1e-15 * float(check.target)
+        assert check.tolerance == check.samples_or_terms * 2**-53 * check.estimate
+    for n in range(61):
+        for p in range(1, 7):
+            check = dobinski_pbell(n, p)
+            assert check.passed, (n, p, check.abs_error, check.tolerance)
+
+
+def test_dobinski_small_grid_keeps_absolute_tolerance():
+    for n in range(9):
+        for p in range(1, 5):
+            assert dobinski_pbell(n, p).tolerance == 1e-9, (n, p)
+
+
 def test_dobinski_more_terms_does_not_hurt():
     loose = dobinski_pbell(5, 2, tol=1e-6)
     tight = dobinski_pbell(5, 2, tol=1e-12)
@@ -176,6 +196,24 @@ def test_rng_stream_is_stateful_and_reproducible():
     assert np.array_equal(RngStream(7).uniforms(4), first)
 
 
+def _reference_uniforms(seed, start, count):
+    """Outputs start+1 .. start+count of ``RngStream(seed)``, written the way
+    the stream computed them before it worked in place."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def test_rng_in_place_mix_is_unchanged():
+    for seed in (0, 1, 42, 2**64 - 1):
+        r = RngStream(seed)
+        assert np.array_equal(r.uniforms(1000), _reference_uniforms(seed, 0, 1000))
+        assert np.array_equal(r.uniforms(7), _reference_uniforms(seed, 1000, 7))
+
+
 def test_rng_outputs_lie_in_unit_interval():
     u = RngStream(123).uniforms(10_000)
     assert (u >= 0).all() and (u < 1).all()
@@ -209,6 +247,36 @@ def test_beta_poisson_scalar_and_batch_are_nonnegative_ints():
         beta_poisson_sample(0, rng)
     with pytest.raises(ValueError):
         beta_poisson_batch(1, -1, rng)
+
+
+def _reference_beta_poisson(p, count, seed):
+    """Beta-Poisson draws with every draw updated each round of the
+    inversion, as the sampler did before it kept only the active draws."""
+    u_lambda = _reference_uniforms(seed, 0, count)
+    u_z = _reference_uniforms(seed, count, count)
+    lam = 1.0 - u_lambda ** (1.0 / p)
+    pmf = np.exp(-lam)
+    cdf = pmf.copy()
+    z = np.zeros(count, dtype=np.int64)
+    k = 0
+    while True:
+        active = u_z >= cdf
+        if not active.any():
+            return z
+        k += 1
+        pmf *= lam / k
+        cdf += np.where(active, pmf, 0.0)
+        z += active
+
+
+def test_beta_poisson_batch_draws_are_unchanged():
+    for seed in (3, 2024, 2**63 + 11):
+        for p in range(1, 7):
+            for count in (0, 1, 200_000):
+                rng = RngStream(seed)
+                got = beta_poisson_batch(p, count, rng)
+                assert np.array_equal(got, _reference_beta_poisson(p, count, seed)), (seed, p)
+                assert np.array_equal(rng.uniforms(3), _reference_uniforms(seed, 2 * count, 3))
 
 
 def test_beta_poisson_batch_mean_tracks_first_moment():

@@ -8,6 +8,8 @@ from polybell.pbell import (
     DEFAULT_BACKEND,
     BackendMismatch,
     PBellBackend,
+    _recurrence_table,
+    _z_rows,
     pbell_column,
     pbell_egf,
     pbell_explicit,
@@ -148,6 +150,46 @@ def test_integer_triangle_column_matches_explicit():
         assert all(type(c) is Fraction for c in column)
         for n in (0, 1, 17, 40):
             assert pbell_z_triangle(n, p) == column[n]
+
+
+def _fraction_recurrence_table(n_max, p):
+    """The derivative recurrence with one reduced Fraction per term, the way
+    it was written before the integer sweep; kept as the reference."""
+    memo = {}
+    for c in range(p, p + n_max + 1):
+        memo[(0, c)] = Fraction(1)
+    for r in range(n_max):
+        for c in range(p, p + n_max - r):
+            acc = (r + 1) * memo[(r, c)]
+            acc -= sum(comb(r, k) * (-1) ** (r - k) * memo[(k + 1, c)] for k in range(r - 1))
+            acc -= Fraction(c, c + 1) * memo[(r, c + 1)]
+            memo[(r + 1, c)] = acc
+    return [memo[(r, p)] for r in range(n_max + 1)]
+
+
+def test_integer_recurrence_matches_fraction_reference():
+    for p in range(9):
+        for n_max in (0, 1, 2, 3, 40):
+            column = _recurrence_table(n_max, p)
+            assert column == _fraction_recurrence_table(n_max, p), (n_max, p)
+            assert all(type(c) is Fraction for c in column)
+        reference = _fraction_recurrence_table(40, p)
+        assert [pbell_recurrence(n, p) for n in range(41)] == reference, p
+        assert pbell_column(40, p, PBellBackend.DERIVATIVE_RECURRENCE) == reference, p
+
+
+def test_integer_recurrence_matches_triangle_and_explicit():
+    for p in range(13):
+        column = _recurrence_table(60, p)
+        assert column == _z_rows(60, p), p
+        assert column == [pbell_explicit(n, p) for n in range(61)], p
+
+
+def test_recurrence_reads_no_cache():
+    # a poisoned Stirling cell reaches the explicit route but not the recurrence
+    CACHE.force(("s2", 6, 3), 91)
+    assert pbell_explicit(6, 0) != pbell_z_triangle(6, 0)
+    assert pbell_recurrence(6, 0) == pbell_z_triangle(6, 0) == 203
 
 
 def test_cross_check_passes_on_clean_cache():
