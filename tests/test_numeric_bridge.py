@@ -197,8 +197,8 @@ def test_rng_stream_is_stateful_and_reproducible():
 
 
 def _reference_uniforms(seed, start, count):
-    """Outputs start+1 .. start+count of ``RngStream(seed)``, written the way
-    the stream computed them before it worked in place."""
+    """Outputs start+1 .. start+count of ``RngStream(seed)``, computed with
+    a new array per step: the reference for the in-place stream."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     x = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -251,7 +251,7 @@ def test_beta_poisson_scalar_and_batch_are_nonnegative_ints():
 
 def _reference_beta_poisson(p, count, seed):
     """Beta-Poisson draws with every draw updated each round of the
-    inversion, as the sampler did before it kept only the active draws."""
+    inversion: the reference for the sampler that keeps only active draws."""
     u_lambda = _reference_uniforms(seed, 0, count)
     u_z = _reference_uniforms(seed, count, count)
     lam = 1.0 - u_lambda ** (1.0 / p)

@@ -153,8 +153,8 @@ def test_integer_triangle_column_matches_explicit():
 
 
 def _fraction_recurrence_table(n_max, p):
-    """The derivative recurrence with one reduced Fraction per term, the way
-    it was written before the integer sweep; kept as the reference."""
+    """The derivative recurrence with one reduced Fraction per term: the
+    reference for the integer sweep in ``_recurrence_table``."""
     memo = {}
     for c in range(p, p + n_max + 1):
         memo[(0, c)] = Fraction(1)
@@ -169,11 +169,12 @@ def _fraction_recurrence_table(n_max, p):
 
 def test_integer_recurrence_matches_fraction_reference():
     for p in range(9):
-        for n_max in (0, 1, 2, 3, 40):
-            column = _recurrence_table(n_max, p)
-            assert column == _fraction_recurrence_table(n_max, p), (n_max, p)
-            assert all(type(c) is Fraction for c in column)
+        for n_max in (0, 1, 2, 3):
+            assert _recurrence_table(n_max, p) == _fraction_recurrence_table(n_max, p), (n_max, p)
         reference = _fraction_recurrence_table(40, p)
+        column = _recurrence_table(40, p)
+        assert column == reference, p
+        assert all(type(c) is Fraction for c in column)
         assert [pbell_recurrence(n, p) for n in range(41)] == reference, p
         assert pbell_column(40, p, PBellBackend.DERIVATIVE_RECURRENCE) == reference, p
 
