@@ -8,15 +8,17 @@ Conventions
 * :class:`EgfSeries` stores ``a_k``, the coefficient of ``z^k/k!``, for
   ``k = 0..order``.  Everything downstream is stated in EGF form; ordinary
   coefficients appear only at boundaries (multiply by ``k!``).
-* All values are immutable and all operations are pure, so sharing across
-  threads is safe.
+* An :class:`EgfSeries` holds ``int`` numerators over one positive ``int``
+  denominator, the lcm of the coefficients' reduced denominators, and every
+  EGF operation runs on those integers; ``coeffs`` and ``coeff`` hand out
+  Fractions.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -188,134 +190,130 @@ class EgfSeries:
     Binary operations truncate to the smaller order of the two operands.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike]):
-        cs = tuple(rational(c) for c in coeffs)
-        if not cs:
-            raise ValueError("an EGF series needs at least the constant term")
-        self._coeffs = cs
+        s = _series(*_over_lcm(coeffs))
+        self._nums, self._den = s._nums, s._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(a, self._den) for a in self._nums)
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} outside truncation order {self.order}")
-        return self._coeffs[k]
+        return Fraction(self._nums[k], self._den)
 
     def truncate(self, order: int) -> EgfSeries:
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        return EgfSeries(self._coeffs[: order + 1])
+        return _series(self._nums[: order + 1], self._den)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero to order."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                return i
-        return None
+        return next((i for i, a in enumerate(self._nums) if a), None)
 
     def scale(self, c: RationalLike) -> EgfSeries:
-        cv = rational(c)
-        return EgfSeries([cv * a for a in self._coeffs])
+        cn, cd = _num_den(c)
+        return _series([cn * a for a in self._nums], cd * self._den)
 
     def __add__(self, other: Union[EgfSeries, RationalLike]) -> EgfSeries:
-        if isinstance(other, EgfSeries):
-            n = min(self.order, other.order)
-            return EgfSeries([self._coeffs[i] + other._coeffs[i] for i in range(n + 1)])
-        c = rational(other)
-        return EgfSeries((self._coeffs[0] + c,) + self._coeffs[1:])
+        if not isinstance(other, EgfSeries):
+            other = egf_constant(other, self.order)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return _series([fa * a + fb * b for a, b in zip(self._nums, other._nums)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[EgfSeries, RationalLike]) -> EgfSeries:
-        if isinstance(other, EgfSeries):
-            n = min(self.order, other.order)
-            return EgfSeries([self._coeffs[i] - other._coeffs[i] for i in range(n + 1)])
-        c = rational(other)
-        return EgfSeries((self._coeffs[0] - c,) + self._coeffs[1:])
+        return -(-self + other)
 
     def __neg__(self) -> EgfSeries:
-        return EgfSeries([-c for c in self._coeffs])
+        return _series([-a for a in self._nums], self._den)
 
     def first_difference(self, other: EgfSeries, upto: int | None = None) -> int | None:
         """Smallest k with differing coefficients over the shared order.
 
         Returns None when the two series agree on every compared coefficient.
         """
-        n = min(self.order, other.order)
-        if upto is not None:
-            n = min(n, upto)
-        for k in range(n + 1):
-            if self._coeffs[k] != other._coeffs[k]:
-                return k
-        return None
+        n = min(self.order, other.order, self.order if upto is None else upto)
+        da, db = self._den, other._den
+        pairs = zip(self._nums[: n + 1], other._nums)
+        return next((k for k, (a, b) in enumerate(pairs) if a * db != b * da), None)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EgfSeries):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        body = ", ".join(format_rational(c) for c in self._coeffs)
+        body = ", ".join(format_rational(c) for c in self.coeffs)
         return f"EgfSeries([{body}])"
 
 
+def _num_den(value: RationalLike) -> tuple[int, int]:
+    q = value if isinstance(value, int) else rational(value)
+    return q.numerator, q.denominator
+
+
+def _over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators."""
+    pairs = [_num_den(c) for c in values]
+    den = lcm(*(d for _, d in pairs))
+    return [a * (den // d) for a, d in pairs], den
+
+
+def _series(nums: Sequence[int], den: int) -> EgfSeries:
+    """The series nums/den (den != 0), reduced to canonical form."""
+    if not nums:
+        raise ValueError("an EGF series needs at least the constant term")
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    s = object.__new__(EgfSeries)
+    s._nums = tuple(a // g for a in nums) if g != 1 else tuple(nums)
+    s._den = den // g
+    return s
+
+
 def egf_zero(order: int) -> EgfSeries:
-    return EgfSeries([Fraction(0)] * (order + 1))
+    return _series([0] * (order + 1), 1)
 
 
 def egf_constant(c: RationalLike, order: int) -> EgfSeries:
-    return EgfSeries([rational(c)] + [Fraction(0)] * order)
+    cn, cd = _num_den(c)
+    return _series([cn] + [0] * order, cd)
 
 
 def egf_z(order: int) -> EgfSeries:
     """The monomial z (EGF coefficients 0, 1, 0, 0, ...)."""
-    cs = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        cs[1] = Fraction(1)
-    return EgfSeries(cs)
+    return _series([int(k == 1) for k in range(order + 1)], 1)
 
 
 def egf_exp_rz(r: RationalLike, order: int) -> EgfSeries:
-    """exp(r z): coefficients r^k."""
-    rv = rational(r)
-    cs, acc = [], Fraction(1)
-    for _ in range(order + 1):
-        cs.append(acc)
-        acc *= rv
-    return EgfSeries(cs)
+    """exp(r z): coefficients r^k, as p^k q^(order-k) over q^order for r = p/q."""
+    p, q = _num_den(r)
+    return _series([p**k * q ** (order - k) for k in range(order + 1)], q**order)
 
 
 def egf_em1(order: int) -> EgfSeries:
     """e^z - 1: coefficients 0, 1, 1, 1, ..."""
-    return EgfSeries([Fraction(0)] + [Fraction(1)] * order)
-
-
-def _over_lcm(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``cs`` over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
+    return _series([0] + [1] * order, 1)
 
 
 def egf_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    """Binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}, run on ints with
-    each operand over a common denominator and reduced once per coefficient."""
-    n = min(a.order, b.order)
-    (ac, da), (bc, db) = _over_lcm(a.coeffs[: n + 1]), _over_lcm(b.coeffs[: n + 1])
-    return EgfSeries(
-        Fraction(sum(comb(m, k) * ac[k] * bc[m - k] for k in range(m + 1)), da * db)
-        for m in range(n + 1)
-    )
+    """Binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}, run on the
+    stored numerators over the product of the denominators."""
+    ac, bc, n = a._nums, b._nums, min(a.order, b.order)
+    conv = [sum(comb(m, k) * ac[k] * bc[m - k] for k in range(m + 1)) for m in range(n + 1)]
+    return _series(conv, a._den * b._den)
 
 
 def egf_pow(a: EgfSeries, k: int) -> EgfSeries:
@@ -335,21 +333,17 @@ def egf_pow(a: EgfSeries, k: int) -> EgfSeries:
 def egf_exp(a: EgfSeries) -> EgfSeries:
     """exp(a) for a series with zero constant term.
 
-    Uses b' = a' b coefficient-wise: b_{m+1} = sum_k C(m,k) a_{k+1} b_{m-k}.
+    Uses b' = a' b coefficient-wise, on a = A/D and the integers B_m = b_m D^m:
+    B_{m+1} = sum_k C(m,k) A_{k+1} B_{m-k} D^k.
     """
-    if a.coeffs[0] != 0:
+    if a._nums[0]:
         raise ValueError("egf_exp needs a zero constant term (exp of a unit is not rational)")
-    n = a.order
-    ac = a.coeffs
-    b = [Fraction(1)] + [Fraction(0)] * n
+    n, ac = a.order, a._nums
+    dpow = [a._den**k for k in range(n + 1)]
+    b = [1] + [0] * n
     for m in range(n):
-        b[m + 1] = sum(comb(m, k) * ac[k + 1] * b[m - k] for k in range(m + 1))
-    return EgfSeries(b)
-
-
-def _shift_down(s: EgfSeries, v: int, upto: int) -> list[Fraction]:
-    # A(z)/z^v in EGF coefficients: a'_m = a_{m+v} * m!/(m+v)!
-    return [s.coeffs[m + v] * Fraction(factorial(m), factorial(m + v)) for m in range(upto + 1)]
+        b[m + 1] = sum(comb(m, k) * ac[k + 1] * b[m - k] * dpow[k] for k in range(m + 1))
+    return _series([bm * dpow[n - m] for m, bm in enumerate(b)], dpow[n])
 
 
 def egf_div(num: EgfSeries, den: EgfSeries) -> EgfSeries:
@@ -358,52 +352,53 @@ def egf_div(num: EgfSeries, den: EgfSeries) -> EgfSeries:
     The denominator may vanish at z = 0: both sides are divided by z^v where
     v is the denominator's valuation, which requires the numerator to vanish
     at least as fast.  The result is truncated to ``min(order) - v``.
+
+    Both shifted sides (a_{i+v}/(v! C(i+v, v))) are cleared to integers SN, SD;
+    with s0 = SD_0, Q_i = q_i s0^(i+1) = SN_i s0^i - sum_{k<i} C(i,k) Q_k SD_{i-k} s0^(i-1-k).
     """
     n = min(num.order, den.order)
     v = den.valuation()
     if v is None or v > n:
         raise ZeroDivisionError("division by a series that is zero to its truncation order")
     nv = num.valuation()
-    if nv is None:
-        return egf_zero(n - v)
-    if nv < v:
+    if nv is not None and nv < v:
         raise ValueError(
             "quotient is not a power series (numerator valuation "
             f"{nv} below denominator valuation {v})"
         )
     m = n - v
-    sn = _shift_down(num.truncate(n), v, m)
-    sd = _shift_down(den.truncate(n), v, m)
-    q = [Fraction(0)] * (m + 1)
+    scale = [comb(i + v, v) for i in range(m + 1)]
+    clear = lcm(*scale)
+    sn = [a * (clear // c) for a, c in zip(num._nums[v:], scale)]
+    sd = [a * (clear // c) for a, c in zip(den._nums[v:], scale)]
+    spow = [sd[0] ** i for i in range(m + 2)]
+    q = [0] * (m + 1)
     for i in range(m + 1):
-        acc = sn[i] - sum(comb(i, k) * q[k] * sd[i - k] for k in range(i))
-        q[i] = acc / sd[0]
-    return EgfSeries(q)
+        q[i] = sn[i] * spow[i] - sum(
+            comb(i, k) * q[k] * sd[i - k] * spow[i - 1 - k] for k in range(i)
+        )
+    # q_i = Q_i / s0^(i+1) * den._den / num._den, as SN and SD were built from numerators
+    return _series([x * spow[m - i] * den._den for i, x in enumerate(q)], spow[m + 1] * num._den)
 
 
 def egf_derivative(a: EgfSeries) -> EgfSeries:
     """d/dz: shifts coefficients down one slot; order drops by one."""
     if a.order == 0:
         raise ValueError("cannot differentiate a series known only to order 0")
-    return EgfSeries(a.coeffs[1:])
+    return _series(a._nums[1:], a._den)
 
 
 def egf_compose_em1(outer_coeffs: Sequence[RationalLike], order: int) -> EgfSeries:
     """sum_k c_k (e^z - 1)^k truncated at the given order.
 
-    (e^z - 1)^k has valuation k, so only k <= order contributes.  Powers are
-    accumulated by repeated binomial convolution; no coefficient beyond the
-    truncation order is ever formed.
+    Only k <= order contributes.  The coefficient of z^n/n! is sum_k c_k T(n, k),
+    T(n, k) = k! S(n, k) = k (T(n-1, k-1) + T(n-1, k)), built here row by row so
+    that the result does not read the Stirling cache of ``special_numbers``.
     """
-    cs = [rational(c) for c in outer_coeffs]
-    result = egf_zero(order)
-    w = egf_em1(order)
-    power = egf_constant(1, order)
-    for k, c in enumerate(cs):
-        if k > order:
-            break
-        if k > 0:
-            power = egf_mul(power, w)
-        if c != 0:
-            result = result + power.scale(c)
-    return result
+    cs, den = _over_lcm(outer_coeffs)
+    nums, row = [], [1]
+    for n in range(order + 1):
+        if n:
+            row = [0] + [k * (row[k - 1] + (row[k] if k < n else 0)) for k in range(1, n + 1)]
+        nums.append(sum(c * t for c, t in zip(cs, row)))
+    return _series(nums, den)

@@ -215,26 +215,29 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
     This is the term-by-term expansion of the binomial-transform definition
     through the number-level series; the weight C(p+k,k)^{-1}/k! (equivalently
     p!/(p+k)!) is what the beta integral int_0^1 e^{-t} t^k (1-t)^{p-1} dt
-    actually carries.
+    actually carries.  The check passes within the larger of ``tol`` and the
+    rounding bound terms * 2^-53 * sum |term| (as in :func:`dobinski_pbell`).
     """
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
     x_exact = Fraction(x) if isinstance(x, float) else rational(x)
     xf = float(x_exact)
-    total = 0.0
+    total = size = 0.0
     terms = 0
     settle_after = n + 4 + int(abs(xf))
     for k in range(1000):
         weight = float(Fraction(1, factorial(k) * comb(p + k, k)))
         term = weight * (xf + k) ** n * hyp1f1(k + 1, p + k + 1, -1.0)
         total += term
+        size += abs(term)
         terms = k + 1
         if k >= settle_after and abs(term) < tol * 1e-3:
             break
     else:
         raise RuntimeError(f"Dobinski series for ({n}, {p}, {xf}) did not settle in 1000 terms")
     target = poly_eval(pbell_poly(n, p), x_exact)
-    return NumericCheck(total, target, abs(total - float(target)), tol, terms)
+    tolerance = max(tol, terms * 2**-53 * size)
+    return NumericCheck(total, target, abs(total - float(target)), tolerance, terms)
 
 
 def cesaro_pbell(n: int, p: int, quad_points: int = 16, tol: float = 1e-6) -> NumericCheck:

@@ -253,6 +253,13 @@ def test_verify_small_suite_passes(capsys):
     assert lines[-1].endswith("identity checks passed")
 
 
+def test_verify_30_10_30_matches_golden(capsys):
+    # the benchmark's oracle reads only pass/fail; this pins every detail line
+    code, out, _ = run_cli(capsys, "verify", "--nmax", "30", "--pmax", "10", "--order", "30")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "verify_30_10_30.txt").read_text()
+
+
 def test_verify_only_filter(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "double-egf-polybell")
     assert code == 0

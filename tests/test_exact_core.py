@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polybell.exact_core import (
@@ -24,6 +24,7 @@ from polybell.exact_core import (
     poly_eval,
     rational,
 )
+from polybell.special_numbers import CACHE, stirling2
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=10
@@ -228,11 +229,19 @@ def test_egf_exp_of_em1_is_bell_egf():
 @settings(max_examples=40)
 def test_egf_div_inverts_mul(a, b):
     s, t = EgfSeries(a), EgfSeries(b)
-    if t.valuation() is None:
-        return
-    product = egf_mul(s.truncate(min(s.order, t.order)), t.truncate(min(s.order, t.order)))
+    order = min(s.order, t.order)
+    v = t.valuation()
+    assume(v is not None and v <= order)  # else the documented ZeroDivisionError
+    product = egf_mul(s.truncate(order), t.truncate(order))
     back = egf_div(product, t)
     assert back.coeffs == s.coeffs[: back.order + 1]
+
+
+def test_egf_div_by_valuation_above_truncated_order_raises():
+    # the truncated product [0] * [0, 1] has order 0, below the divisor's valuation 1
+    product = egf_mul(EgfSeries([0]), EgfSeries([0, 1]))
+    with pytest.raises(ZeroDivisionError):
+        egf_div(product, EgfSeries([0, 1]))
 
 
 def test_egf_div_with_valuation_shift():
@@ -289,6 +298,10 @@ def test_first_difference_reports_smallest_index():
     t = EgfSeries([1, 2, 7, 4])
     assert s.first_difference(t, 3) == 2
     assert s.first_difference(s, 3) is None
+    # numerators are compared over their own denominators
+    assert EgfSeries([1, 2]).first_difference(EgfSeries([Fraction(1, 3), Fraction(2, 3)])) == 0
+    u = EgfSeries([1, Fraction(1, 2), Fraction(1, 3)])
+    assert u.first_difference(EgfSeries([1, Fraction(1, 2), Fraction(1, 5)])) == 2
 
 
 def test_series_scalar_add_affects_constant_term():
@@ -300,3 +313,128 @@ def test_series_scalar_add_affects_constant_term():
 def test_scale():
     s = egf_em1(4).scale(Fraction(3, 2))
     assert s.coeffs == (0, Fraction(3, 2), Fraction(3, 2), Fraction(3, 2), Fraction(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the per-term Fraction versions they replaced
+
+
+def _fraction_exp(a):
+    n, ac = len(a) - 1, a
+    b = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(n):
+        b[m + 1] = sum(math.comb(m, k) * ac[k + 1] * b[m - k] for k in range(m + 1))
+    return tuple(b)
+
+
+def _fraction_div(num, den):
+    n = min(len(num), len(den)) - 1
+    v = next(i for i, c in enumerate(den) if c != 0)
+    m = n - v
+
+    def shift(s):
+        return [s[i + v] * Fraction(math.factorial(i), math.factorial(i + v)) for i in range(m + 1)]
+
+    sn, sd = shift(num), shift(den)
+    q = [Fraction(0)] * (m + 1)
+    for i in range(m + 1):
+        acc = sn[i] - sum(math.comb(i, k) * q[k] * sd[i - k] for k in range(i))
+        q[i] = acc / sd[0]
+    return tuple(q)
+
+
+def _fraction_compose_em1(outer, order):
+    w = [Fraction(0)] + [Fraction(1)] * order
+    power = [Fraction(1)] + [Fraction(0)] * order
+    result = [Fraction(0)] * (order + 1)
+    for k, c in enumerate(Fraction(c) for c in outer):
+        if k > order:
+            break
+        if k > 0:
+            power = [
+                sum(math.comb(m, j) * power[j] * w[m - j] for j in range(m + 1))
+                for m in range(order + 1)
+            ]
+        result = [r + c * x for r, x in zip(result, power)]
+    return tuple(result)
+
+
+nonzero = st.fractions(
+    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60
+).filter(bool)
+
+
+@given(mixed_coeffs)
+@settings(max_examples=80)
+@example([Fraction(0)])
+@example([Fraction(-5, 6), Fraction(7, 4), Fraction(0), Fraction(-1, 9)])
+def test_egf_exp_matches_per_term_fraction_recurrence(tail):
+    a = [Fraction(0)] + tail[:-1]
+    got = egf_exp(EgfSeries(a)).coeffs
+    assert got == _fraction_exp(a)
+    assert all(type(c) is Fraction for c in got)
+
+
+@given(st.integers(0, 3), nonzero, mixed_coeffs, st.integers(0, 3), mixed_coeffs)
+@settings(max_examples=120)
+@example(0, Fraction(-3, 7), [Fraction(0)], 0, [Fraction(5, 2)])  # order 0, negative lead
+@example(3, Fraction(6), [Fraction(-1, 2)] * 8, 0, [Fraction(0)] * 12)  # zero numerator
+@example(2, Fraction(-2, 3), [Fraction(5, 6), Fraction(0), Fraction(-7, 60)], 1, [Fraction(1, 5)])
+def test_egf_div_matches_per_term_fraction_quotient(v, lead, den_tail, extra, num_tail):
+    den = [Fraction(0)] * v + [lead] + den_tail
+    num = [Fraction(0)] * (v + extra) + num_tail
+    assume(v <= min(len(num), len(den)) - 1)
+    got = egf_div(EgfSeries(num), EgfSeries(den)).coeffs
+    assert got == _fraction_div(num, den)
+    assert all(type(c) is Fraction for c in got)
+
+
+@given(mixed_coeffs | st.just([]), st.integers(0, 14))
+@settings(max_examples=100)
+@example([], 0)
+@example([Fraction(-7, 3)], 0)
+@example([Fraction(1, 2), Fraction(0), Fraction(-5, 12)], 9)  # shorter than the order
+@example([Fraction(k - 6, k + 1) for k in range(12)], 4)  # longer than the order
+def test_egf_compose_em1_matches_repeated_fraction_convolution(outer, order):
+    got = egf_compose_em1(outer, order).coeffs
+    assert got == _fraction_compose_em1(outer, order)
+    assert all(type(c) is Fraction for c in got)
+
+
+@given(mixed_coeffs)
+@settings(max_examples=60)
+def test_equal_series_built_by_different_routes_are_equal_and_hash_equal(cs):
+    s = EgfSeries(cs)
+    e = egf_exp_rz(Fraction(-1, 3), s.order)
+    routes = [
+        EgfSeries([format_rational(c) for c in cs]),
+        s.scale(Fraction(-6, 7)).scale(Fraction(-7, 6)),
+        (s + s) - s,
+        egf_mul(s, egf_constant(1, s.order)),
+        egf_div(egf_mul(s, e), e),
+        egf_div(-s, egf_constant(Fraction(-1, 5), s.order)).scale(Fraction(1, 5)),
+        egf_derivative(EgfSeries([Fraction(9, 4)] + list(cs))),
+        EgfSeries(list(cs) + [Fraction(1, 97)]).truncate(s.order),
+    ]
+    for t in routes:
+        assert t == s and hash(t) == hash(s)
+    assert len(set(routes + [s])) == 1
+
+
+def test_canonical_form_of_constructed_series():
+    assert egf_exp(egf_z(6)) == egf_exp_rz(1, 6) == EgfSeries([1] * 7)
+    assert egf_em1(5) - egf_em1(5) == egf_zero(5)
+    assert hash(egf_zero(3).scale(Fraction(5, 7))) == hash(egf_zero(3))
+    assert egf_constant("4/6", 2) == EgfSeries([Fraction(2, 3), 0, 0])
+    assert EgfSeries([1, Fraction(1, 2)]).truncate(0) == egf_constant(1, 0)
+    assert egf_z(0) == egf_zero(0)
+
+
+def test_egf_compose_em1_reads_no_cache():
+    # a poisoned Stirling cell reaches stirling2 but not the substitution
+    outer = [Fraction(1, math.factorial(k)) for k in range(9)]
+    clean = egf_compose_em1(outer, 8)
+    CACHE.force(("s2", 6, 3), 91)
+    assert stirling2(6, 3) == 91
+    assert egf_compose_em1(outer, 8) == clean
+    assert clean.coeff(6) == 203

@@ -119,6 +119,23 @@ def test_dobinski_poly_negative_point():
     assert check.passed, check.abs_error
 
 
+def test_dobinski_poly_tolerance_covers_float_rounding():
+    # an absolute 1e-9 false-failed (30, 3, 1) at relative error 1.2e-16; the
+    # bound sums |term|, so it also holds where x < 0 makes terms change sign
+    for n, p, x in ((30, 3, 1), (30, 3, Fraction(-1, 2)), (25, 2, Fraction(-7, 3))):
+        check = dobinski_pbell_poly(n, p, x)
+        assert check.passed, (n, p, x, check.abs_error, check.tolerance)
+        assert check.tolerance > 1e-9
+
+
+def test_dobinski_poly_small_grid_keeps_absolute_tolerance():
+    for n in range(9):
+        for p in range(1, 5):
+            for x in (0, 1, Fraction(1, 3), Fraction(-3, 2)):
+                check = dobinski_pbell_poly(n, p, x)
+                assert check.tolerance == 1e-9 and check.passed, (n, p, x)
+
+
 def test_dobinski_validates_input():
     with pytest.raises(ValueError):
         dobinski_pbell(3, 0)
