@@ -320,10 +320,9 @@ def test_scale():
 
 
 def _fraction_exp(a):
-    n, ac = len(a) - 1, a
-    b = [Fraction(1)] + [Fraction(0)] * n
-    for m in range(n):
-        b[m + 1] = sum(math.comb(m, k) * ac[k + 1] * b[m - k] for k in range(m + 1))
+    b = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for m in range(len(a) - 1):
+        b[m + 1] = sum(math.comb(m, k) * a[k + 1] * b[m - k] for k in range(m + 1))
     return tuple(b)
 
 
