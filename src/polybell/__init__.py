@@ -9,6 +9,8 @@ integrals, Monte Carlo moments of a beta-mixed Poisson law) in floating
 point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .exact_core import (
     EgfSeries,
     Polynomial,
@@ -87,80 +89,9 @@ from .special_numbers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # exact_core
-    "Rational",
-    "RationalLike",
-    "rational",
-    "format_rational",
-    "parse_rational",
-    "Polynomial",
-    "poly_eval",
-    "EgfSeries",
-    "egf_zero",
-    "egf_constant",
-    "egf_z",
-    "egf_exp_rz",
-    "egf_em1",
-    "egf_mul",
-    "egf_pow",
-    "egf_exp",
-    "egf_div",
-    "egf_derivative",
-    "egf_compose_em1",
-    # special_numbers
-    "CACHE",
-    "reset_cache",
-    "stirling1",
-    "stirling2",
-    "r_stirling2",
-    "weighted_stirling_poly",
-    "whitney2",
-    "bernoulli",
-    "gen_bernoulli",
-    "bell_poly",
-    "bell_number",
-    # pbell
-    "PBellBackend",
-    "DEFAULT_BACKEND",
-    "BackendMismatch",
-    "pbell_explicit",
-    "pbell_recurrence",
-    "pbell_z_triangle",
-    "pbell_gen_bernoulli",
-    "pbell_number",
-    "pbell_column",
-    "pbell_egf",
-    "pbell_ramanujan_p1",
-    "pbell_poly",
-    "pbell_poly_weighted",
-    "zpoly_triangle",
-    # polybell
-    "polybell_pos",
-    "polybell_neg",
-    "polybell_neg_int",
-    "polybell_neg_derivative",
-    "polybell_neg_row_poly",
-    "polybell_poly",
-    "duality_counterexample",
-    "iterated_integral_pbell",
-    # identity_verifier
-    "CheckReport",
-    "IDENTITY_IDS",
-    "run_all",
-    "thread_count",
-    # numeric_bridge
-    "NumericCheck",
-    "RngStream",
-    "hyp1f1",
-    "lower_inc_gamma",
-    "dobinski_pbell",
-    "dobinski_pbell_poly",
-    "cesaro_pbell",
-    "beta_poisson_sample",
-    "beta_poisson_batch",
-    "mc_moment_check",
-    "mgf_check",
-    "pmf_check",
+# Every public name imported above, submodules excluded.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

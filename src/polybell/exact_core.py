@@ -8,10 +8,12 @@ Conventions
 * :class:`EgfSeries` stores ``a_k``, the coefficient of ``z^k/k!``, for
   ``k = 0..order``.  Everything downstream is stated in EGF form; ordinary
   coefficients appear only at boundaries (multiply by ``k!``).
-* An :class:`EgfSeries` holds ``int`` numerators over one positive ``int``
-  denominator, the lcm of the coefficients' reduced denominators, and every
-  EGF operation runs on those integers; ``coeffs`` and ``coeff`` hand out
-  Fractions.  All values are immutable and all operations are pure.
+* An :class:`EgfSeries` and a :class:`Polynomial` each hold ``int``
+  numerators over one positive ``int`` denominator, the lcm of the
+  coefficients' reduced denominators, and every series and polynomial
+  operation (and ``poly_eval``) runs on those integers; ``coeffs`` and
+  ``coeff`` hand out Fractions.  All values are immutable and all operations
+  are pure.
 """
 
 from __future__ import annotations
@@ -82,105 +84,115 @@ class Polynomial:
 
     Canonical form keeps no trailing zero coefficients, except the zero
     polynomial which is stored as the single coefficient [0] (``degree`` 0,
-    ``is_zero`` True).
+    ``is_zero`` True).  Like :class:`EgfSeries` it holds ``int`` numerators
+    over one positive ``int`` denominator in lowest terms.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = (0,)):
-        cs = [rational(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self._coeffs = tuple(cs)
+        p = _poly(*_over_lcm(coeffs))
+        self._nums, self._den = p._nums, p._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(a, self._den) for a in self._nums)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self._coeffs) == 1 and self._coeffs[0] == 0
+        return self._nums == (0,)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the stored degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._nums):
+            return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        body = ", ".join(format_rational(c) for c in self._coeffs)
+        body = ", ".join(format_rational(c) for c in self.coeffs)
         return f"Polynomial([{body}])"
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        a, b = self._coeffs, other._coeffs
-        n = max(len(a), len(b))
-        return Polynomial(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
+        den = lcm(self._den, other._den)
+        a = [x * (den // self._den) for x in self._nums]
+        b = [x * (den // other._den) for x in other._nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, y in enumerate(b):
+            a[i] += y
+        return _poly(a, den)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self._coeffs])
+        return _poly([-a for a in self._nums], self._den)
 
     def __mul__(self, other: Union[Polynomial, RationalLike]) -> Polynomial:
         if isinstance(other, Polynomial):
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return Polynomial(out)
-        c = rational(other)
-        return Polynomial([c * x for x in self._coeffs])
+            return _poly(_convolve(self._nums, other._nums), self._den * other._den)
+        cn, cd = _num_den(other)
+        return _poly([cn * a for a in self._nums], cd * self._den)
 
     __rmul__ = __mul__
 
     def compose(self, inner: Polynomial) -> Polynomial:
-        """self(inner(x)), by Horner over polynomial arithmetic."""
-        result = Polynomial([self._coeffs[-1]])
-        for c in reversed(self._coeffs[:-1]):
-            result = result * inner + Polynomial([c])
-        return result
+        """self(inner(x)), by Horner on the numerators: with inner = B/E,
+        R_0 = a_d and R_{j+1} = R_j B + a_{d-j-1} E^{j+1}, then divide by E^d."""
+        b, e = inner._nums, inner._den
+        acc, epow = [self._nums[-1]], 1
+        for c in reversed(self._nums[:-1]):
+            epow *= e
+            acc = _convolve(acc, b)
+            acc[0] += c * epow
+        return _poly(acc, self._den * epow)
 
     def derivative(self) -> Polynomial:
         if self.degree == 0:
             return Polynomial()
-        return Polynomial([(i + 1) * c for i, c in enumerate(self._coeffs[1:])])
+        return _poly([(i + 1) * a for i, a in enumerate(self._nums[1:])], self._den)
 
     def antiderivative(self) -> Polynomial:
-        """The antiderivative with zero constant term."""
-        return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._coeffs)])
+        """The antiderivative with zero constant term, over one lcm(1..d+1)."""
+        scale = lcm(*range(1, len(self._nums) + 1))
+        nums = [0] + [a * (scale // (i + 1)) for i, a in enumerate(self._nums)]
+        return _poly(nums, self._den * scale)
 
     @staticmethod
     def x() -> Polynomial:
         return Polynomial([0, 1])
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
 def poly_eval(p: Polynomial, x: RationalLike) -> Fraction:
-    """Exact Horner evaluation."""
-    xv = rational(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * xv + c
-    return acc
+    """Exact Horner evaluation on the integers: for x = u/v,
+    p(x) = (sum_k a_k u^k v^(d-k)) / (den v^d)."""
+    u, v = _num_den(x)
+    acc, vpow = p._nums[-1], 1
+    for c in reversed(p._nums[:-1]):
+        vpow *= v
+        acc = acc * u + c * vpow
+    return Fraction(acc, p._den * vpow)
 
 
 class EgfSeries:
@@ -272,15 +284,28 @@ def _over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [a * (den // d) for a, d in pairs], den
 
 
+def _reduced(cls: type, nums: Sequence[int], den: int):
+    """A new ``cls`` holding nums/den (den != 0) in lowest terms, den > 0."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    obj = object.__new__(cls)
+    obj._nums = tuple(a // g for a in nums) if g != 1 else tuple(nums)
+    obj._den = den // g
+    return obj
+
+
 def _series(nums: Sequence[int], den: int) -> EgfSeries:
     """The series nums/den (den != 0), reduced to canonical form."""
     if not nums:
         raise ValueError("an EGF series needs at least the constant term")
-    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-    s = object.__new__(EgfSeries)
-    s._nums = tuple(a // g for a in nums) if g != 1 else tuple(nums)
-    s._den = den // g
-    return s
+    return _reduced(EgfSeries, nums, den)
+
+
+def _poly(nums: Sequence[int], den: int) -> Polynomial:
+    """The polynomial nums/den (den != 0), without trailing zeros, reduced."""
+    d = len(nums)
+    while d > 1 and not nums[d - 1]:
+        d -= 1
+    return _reduced(Polynomial, nums[:d] or [0], den)
 
 
 def egf_zero(order: int) -> EgfSeries:

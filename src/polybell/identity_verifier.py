@@ -48,12 +48,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, expm1, factorial
+from math import comb, exp, expm1, factorial, lcm
 from typing import Callable, Iterable, Sequence
 
 from .exact_core import (
     EgfSeries,
     Polynomial,
+    _over_lcm,
     egf_constant,
     egf_compose_em1,
     egf_derivative,
@@ -62,7 +63,6 @@ from .exact_core import (
     egf_exp,
     egf_exp_rz,
     egf_mul,
-    egf_pow,
     format_rational,
     poly_eval,
 )
@@ -161,6 +161,26 @@ def _pointwise_report(identity_id: str, params: dict, cases: Iterable[tuple[str,
     return CheckReport(identity_id, params)
 
 
+def _cleared_report(
+    identity_id: str, params: dict, cases: Iterable[tuple[str, int, int, int]]
+) -> CheckReport:
+    """Pointwise report for cases (label, lhs, rhs, den) given as integer
+    numerators over a positive den; Fractions are built only for a failure."""
+    for label, lhs, rhs, den in cases:
+        if lhs != rhs:
+            case = (label, Fraction(lhs, den), Fraction(rhs, den))
+            return _pointwise_report(identity_id, params, [case])
+    return CheckReport(identity_id, params)
+
+
+def _ladder(base: EgfSeries, w: EgfSeries, top: int) -> list[EgfSeries]:
+    """[base, base w, ..., base w^top], one egf_mul per power."""
+    out = [base]
+    for _ in range(top):
+        out.append(egf_mul(out[-1], w))
+    return out
+
+
 def verify_egf_definition(
     p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND
 ) -> CheckReport:
@@ -179,23 +199,24 @@ def verify_closed_forms(
         raise ValueError("the closed form needs p >= 1")
     params = {"p": p, "order": order}
     w = egf_em1(order)
+    w_pow = [egf_constant(1, order), *_ladder(w, w, p - 1)]
     exp_w = egf_exp(w)
     f = pbell_egf(p, order, backend)
-    lhs = egf_mul(egf_pow(w, p), f)
+    lhs = egf_mul(w_pow[p], f)
     rhs = exp_w.scale(factorial(p))
     for k in range(1, p + 1):
         falling = factorial(p) // factorial(p - k)
-        rhs = rhs - egf_pow(w, p - k).scale(falling)
+        rhs = rhs - w_pow[p - k].scale(falling)
     report = _series_report("egf-closed-form", params, lhs, rhs)
     if not report.passed or p > 3:
         return report
     if p == 1:
         quotient = egf_div(exp_w - 1, w)
     elif p == 2:
-        quotient = egf_div((exp_w - egf_exp_rz(1, order)).scale(2), egf_pow(w, 2))
+        quotient = egf_div((exp_w - egf_exp_rz(1, order)).scale(2), w_pow[2])
     else:
         numerator = (exp_w.scale(2) - egf_exp_rz(2, order) - 1).scale(3)
-        quotient = egf_div(numerator, egf_pow(w, 3))
+        quotient = egf_div(numerator, w_pow[3])
     report2 = _series_report("egf-closed-form", params, quotient, f.truncate(quotient.order))
     if not report2.passed:
         detail = f"displayed quotient form: {report2.detail}"
@@ -261,7 +282,7 @@ def verify_double_egf_polybell(z_order: int, y_order: int) -> CheckReport:
     lhs = [
         EgfSeries([polybell_neg(n, q) for n in range(z_order + 1)]) for q in range(y_order + 1)
     ]
-    rhs = [egf_mul(egf_pow(w, q), exp_w) for q in range(y_order + 1)]
+    rhs = _ladder(exp_w, w, y_order)
     return _bivariate_report("double-egf-polybell", params, lhs, rhs)
 
 
@@ -309,12 +330,13 @@ def verify_incomplete_gamma_form(
         raise ValueError("the incomplete-gamma form needs p >= 1")
     params = {"p": p, "order": order, "z0": _fmt(z0)}
     w = egf_em1(order)
+    w_pow = [egf_constant(1, order), *_ladder(w, w, p - 1)]
     exp_w = egf_exp(w)
     f = pbell_egf(p, order, backend)
-    lhs = egf_mul(egf_pow(w, p), f)
+    lhs = egf_mul(w_pow[p], f)
     partial_sum = egf_constant(0, order)
     for j in range(p):
-        partial_sum = partial_sum + egf_pow(w, j).scale(Fraction(1, factorial(j)))
+        partial_sum = partial_sum + w_pow[j].scale(Fraction(1, factorial(j)))
     gamma_series = (egf_constant(1, order) - egf_mul(egf_exp(w.scale(-1)), partial_sum)).scale(
         factorial(p - 1)
     )
@@ -346,43 +368,51 @@ def verify_column_recurrence(
 
     (A two-term shortcut replacing the convolution by single binomial-weighted
     terms is tempting but already false at n = 1, p = 0.)
+
+    Each column is taken as integer numerators over one denominator, and both
+    sides are compared as integers over den = lcm(D_p, (p+1) D_{p+1}, (p+2) D_{p+2}).
     """
     params = {"n_max": n_max, "p_max": p_max}
-    cols = {q: pbell_column(n_max + 1, q, backend) for q in range(p_max + 3)}
+    cols = [_over_lcm(pbell_column(n_max + 1, q, backend)) for q in range(p_max + 3)]
 
     def cases():
         for p in range(p_max + 1):
+            (b0, d0), (b1, d1), (b2, d2) = cols[p : p + 3]
+            den = lcm(d0, d1 * (p + 1), d2 * (p + 2))
+            f1, f2 = den // (d1 * (p + 1)), den // (d2 * (p + 2))
+            terms = [x * f1 - y * f2 for x, y in zip(b1, b2)]
             for n in range(n_max):
-                lhs = cols[p + 1][n + 1]
-                rhs = cols[p][n + 1] - sum(
-                    comb(n + 1, k)
-                    * (cols[p + 1][k] / (p + 1) - cols[p + 2][k] / (p + 2))
-                    for k in range(n + 1)
-                )
-                yield f"n={n + 1}, p={p + 1}", lhs, rhs
+                lhs = b1[n + 1] * (den // d1)
+                rhs = b0[n + 1] * (den // d0) - sum(comb(n + 1, k) * terms[k] for k in range(n + 1))
+                yield f"n={n + 1}, p={p + 1}", lhs, rhs, den
 
-    return _pointwise_report("cross-column-recurrence", params, cases())
+    return _cleared_report("cross-column-recurrence", params, cases())
 
 
 def verify_stirling_transform(
     n_max: int, m_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND
 ) -> CheckReport:
-    """sum_{k<=m} s(m,k) B_{n+k,p} = sum_{k<=n} {n+m,k+m}_m C(m+k+p,p)^{-1}."""
+    """sum_{k<=m} s(m,k) B_{n+k,p} = sum_{k<=n} {n+m,k+m}_m C(m+k+p,p)^{-1}.
+
+    Column p is taken as integer numerators over one denominator D_p, and both
+    sides are compared as integers over den = lcm(D_p, C(j+p,p) for all j).
+    """
     params = {"n_max": n_max, "m_max": m_max, "p_max": p_max}
-    cols = {q: pbell_column(n_max + m_max, q, backend) for q in range(p_max + 1)}
+    cols = [_over_lcm(pbell_column(n_max + m_max, q, backend)) for q in range(p_max + 1)]
 
     def cases():
-        for p in range(p_max + 1):
+        for p, (b, dp) in enumerate(cols):
+            binoms = [comb(j + p, p) for j in range(n_max + m_max + 1)]
+            den = lcm(dp, *binoms)
+            shares = [den // c for c in binoms]
             for m in range(m_max + 1):
+                s_row = [stirling1(m, k) for k in range(m + 1)]
                 for n in range(n_max + 1):
-                    lhs = sum(stirling1(m, k) * cols[p][n + k] for k in range(m + 1))
-                    rhs = sum(
-                        r_stirling2(n, k, m) * Fraction(1, comb(m + k + p, p))
-                        for k in range(n + 1)
-                    )
-                    yield f"n={n}, m={m}, p={p}", lhs, rhs
+                    lhs = (den // dp) * sum(s * b[n + k] for k, s in enumerate(s_row))
+                    rhs = sum(r_stirling2(n, k, m) * shares[m + k] for k in range(n + 1))
+                    yield f"n={n}, m={m}, p={p}", lhs, rhs, den
 
-    return _pointwise_report("stirling-transform", params, cases())
+    return _cleared_report("stirling-transform", params, cases())
 
 
 def verify_poly_recurrence(

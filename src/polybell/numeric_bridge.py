@@ -340,7 +340,14 @@ def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
 
 
 def _chunked_moments(p: int, samples: int, rng: RngStream, transform) -> tuple[float, float]:
-    """(mean, sample std of the transformed draws), chunked over split streams."""
+    """(mean, sample std of the transformed draws), chunked over split streams.
+
+    Each chunk's squares are centred on that chunk's own mean and the chunks
+    merge by Chan's rule, sum of squared deviations = sum_i M2_i +
+    sum_i n_i (mean_i - mean)^2, which is exact where sum v^2 - n mean^2
+    cancels (large offsets such as x = 1e9).
+    """
+    sizes: list[int] = []
     sums: list[float] = []
     squares: list[float] = []
     done = 0
@@ -349,16 +356,18 @@ def _chunked_moments(p: int, samples: int, rng: RngStream, transform) -> tuple[f
         m = min(_CHUNK, samples - done)
         z = _beta_poisson_vector(p, m, rng.split(chunk_index))
         vals = transform(z)
-        sums.append(float(np.sum(vals)))
-        squares.append(float(np.sum(vals * vals)))
+        total = float(np.sum(vals))
+        dev = vals - total / m
+        sizes.append(m)
+        sums.append(total)
+        squares.append(float(dev @ dev))
         done += m
         chunk_index += 1
-    total = math.fsum(sums)
-    total_sq = math.fsum(squares)
-    mean = total / samples
+    mean = math.fsum(sums) / samples
     if samples < 2:
         return mean, 0.0
-    variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    between = math.fsum(k * (t / k - mean) ** 2 for k, t in zip(sizes, sums))
+    variance = (math.fsum(squares) + between) / (samples - 1)
     return mean, math.sqrt(variance)
 
 

@@ -121,6 +121,83 @@ def test_poly_eval_matches_power_sum(coeffs, x):
     assert poly_eval(p, x) == direct
 
 
+# Integer Polynomial against a per-coefficient Fraction reference.
+
+poly_lists = st.lists(rationals, min_size=0, max_size=7)
+
+
+def _trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs) or (Fraction(0),)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_compose(a, b):
+    acc = (a[-1],)
+    for c in reversed(a[:-1]):
+        acc = _ref_add(_ref_mul(acc, b), (c,))
+    return acc
+
+
+def _ref_eval(a, x):
+    return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+@given(poly_lists, poly_lists, rationals)
+@example([], [0, 0], Fraction(0))
+@example([Fraction(1, 2), 0, 0], [Fraction(-3, 4), 2], Fraction(-5, 3))
+def test_integer_polynomial_matches_fraction_reference(a, b, c):
+    pa, pb = Polynomial(a), Polynomial(b)
+    ra, rb = _trim(a), _trim(b)
+    assert pa.coeffs == ra and pa.degree == len(ra) - 1
+    cases = [
+        (pa + pb, _ref_add(ra, rb)),
+        (pa - pb, _ref_add(ra, tuple(-x for x in rb))),
+        (pa * pb, _ref_mul(ra, rb)),
+        (pa * c, _trim([c * x for x in ra])),
+        (c * pa, _trim([c * x for x in ra])),
+        (pa.compose(pb), _ref_compose(ra, rb)),
+        (pa.antiderivative(), _trim([0] + [x / (i + 1) for i, x in enumerate(ra)])),
+        (pa.derivative(), _trim([i * x for i, x in enumerate(ra)][1:] or [0])),
+    ]
+    for got, want in cases:
+        assert got.coeffs == want
+        # canonical form: equal to, and hashed as, the polynomial built directly
+        assert got == Polynomial(want) and hash(got) == hash(Polynomial(want))
+    for x in (c, Fraction(0), -abs(c) - 1, 3):
+        assert poly_eval(pa, x) == _ref_eval(ra, Fraction(x))
+
+
+def test_polynomial_canonical_form():
+    zero = Polynomial([])
+    assert zero == Polynomial() == Polynomial([0, 0, 0]) == Polynomial([1]) * 0
+    assert zero.is_zero and zero.degree == 0 and zero.coeffs == (Fraction(0),)
+    assert (Polynomial([Fraction(1, 3), 1]) - Polynomial([Fraction(1, 3), 1])) == zero
+    half = Polynomial([Fraction(2, 4), Fraction(3, 6), 0])
+    assert half == Polynomial([Fraction(1, 2), Fraction(1, 2)])
+    assert hash(half) == hash(Polynomial([Fraction(1, 2), Fraction(1, 2)]))
+    assert Polynomial([2, 4]) != Polynomial([1, 2])
+    assert poly_eval(zero, Fraction(-7, 2)) == 0
+    with pytest.raises(TypeError):
+        Polynomial([0.5])
+    with pytest.raises(TypeError):
+        Polynomial([1, 2]) * 0.5
+
+
 # ---------------------------------------------------------------------------
 # truncated EGF arithmetic
 

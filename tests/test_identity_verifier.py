@@ -1,16 +1,21 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from polybell import exact_core, identity_verifier
+from polybell.exact_core import format_rational, parse_rational
 from polybell.identity_verifier import (
     IDENTITY_IDS,
     CheckReport,
     run_all,
     thread_count,
+    verify_column_recurrence,
     verify_derivative_operator_form,
     verify_double_egf_polybell,
     verify_iterated_integral,
+    verify_stirling_transform,
 )
 from polybell.special_numbers import CACHE
 
@@ -84,6 +89,56 @@ def test_poisoned_triangle_is_reported_with_first_difference():
     report = verify_iterated_integral(10, 5)
     assert not report.passed
     assert "first failing case at (n=6, p=0)" in report.detail
+
+
+@pytest.mark.parametrize(
+    "check, detail",
+    [
+        (
+            lambda: verify_column_recurrence(8, 3),
+            "first failing case at (n=6, p=1): lhs=2057/42, rhs=2075/42",
+        ),
+        (
+            lambda: verify_stirling_transform(6, 4, 3),
+            "first failing case at (n=5, m=0, p=2): lhs=130/21, rhs=127/21",
+        ),
+    ],
+    ids=["cross-column-recurrence", "stirling-transform"],
+)
+def test_planted_column_cell_is_reported_in_lowest_terms(monkeypatch, check, detail):
+    # B_{5,2} off by 1/7: the integer comparisons over one common denominator
+    # must name the same first case, with reduced values, as the Fraction sums did
+    real = identity_verifier.pbell_column
+
+    def planted(n, p, backend=identity_verifier.DEFAULT_BACKEND):
+        col = list(real(n, p, backend))
+        if p == 2 and n >= 5:
+            col[5] += Fraction(1, 7)
+        return col
+
+    monkeypatch.setattr(identity_verifier, "pbell_column", planted)
+    report = check()
+    assert not report.passed
+    assert report.detail == detail
+    values = re.findall(r"[lr]hs=([^,\s]+)", report.detail)
+    assert len(values) == 2
+    assert all(format_rational(parse_rational(v)) == v for v in values)
+
+
+def test_egf_checks_build_one_power_ladder(monkeypatch):
+    # (e^z-1)^k is built once per check, one egf_mul per power (519 calls
+    # when each power came from its own egf_pow)
+    real = exact_core.egf_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(exact_core, "egf_mul", counting)
+    monkeypatch.setattr(identity_verifier, "egf_mul", counting)
+    assert all(r.passed for r in run_all(30, 10, 30))
+    assert len(calls) <= 270
 
 
 def test_derivative_operator_needs_enough_order():

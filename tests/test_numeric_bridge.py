@@ -19,7 +19,8 @@ from polybell.numeric_bridge import (
     mgf_check,
     pmf_check,
 )
-from polybell.pbell import pbell_number
+from polybell.exact_core import poly_eval
+from polybell.pbell import pbell_number, pbell_poly
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,19 @@ def test_mc_moment_check_constant_case():
     check = mc_moment_check(0, 1, 3, 1_000, RngStream(0))
     assert check.estimate == 1.0
     assert check.tolerance == 0.0
+    assert check.passed
+
+
+def test_mc_band_survives_a_large_offset():
+    # at x = 1e9 the draws are ~1e18 and differ by ~1e9, so sum v^2 - n mean^2
+    # cancelled to a band of 0.0 and a false fail; chunk-centred squares keep
+    # the band near 4 sigma with the exact variance B_{4,1}(x) - B_{2,1}(x)^2
+    samples, x = 1_000_000, 10**9
+    check = mc_moment_check(2, 1, float(x), samples, RngStream(0))
+    assert check.estimate == 1.000000000998538e18  # the mean is summed as before
+    exact_var = poly_eval(pbell_poly(4, 1), x) - poly_eval(pbell_poly(2, 1), x) ** 2
+    exact_band = 4 * math.sqrt(exact_var) / math.sqrt(samples)
+    assert check.tolerance == pytest.approx(exact_band, rel=0.05)
     assert check.passed
 
 
