@@ -68,7 +68,6 @@ from .polybell import (
     iterated_integral_pbell,
     polybell_neg,
     polybell_neg_derivative,
-    polybell_neg_int,
     polybell_neg_row_poly,
     polybell_poly,
     polybell_pos,

@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, expm1, factorial, lcm
+from math import comb, exp, expm1, factorial, lcm, perm
 from typing import Callable, Iterable, Sequence
 
 from .exact_core import (
@@ -67,7 +67,7 @@ from .exact_core import (
     poly_eval,
 )
 from .pbell import DEFAULT_BACKEND, PBellBackend, pbell_column, pbell_egf, pbell_number, pbell_poly, pbell_ramanujan_p1
-from .polybell import iterated_integral_pbell, polybell_neg
+from .polybell import iterated_integral_pbell, polybell_neg, polybell_neg_row
 from .special_numbers import bell_poly, r_stirling2, stirling1
 
 __all__ = [
@@ -461,17 +461,18 @@ def verify_iterated_integral(
 
 
 def verify_row_sum(n_max: int) -> CheckReport:
-    """sum_{p<=n} B_n^(-p)/p! = phi_n(2)."""
+    """sum_{p<=n} B_n^(-p)/p! = phi_n(2), both sides as integers over n!."""
     params = {"n_max": n_max}
     cases = (
         (
             f"n={n}",
-            sum((polybell_neg(n, p) / factorial(p) for p in range(n + 1)), Fraction(0)),
-            poly_eval(bell_poly(n), 2),
+            sum(perm(n, n - p) * v for p, v in enumerate(polybell_neg_row(n, n))),
+            factorial(n) * poly_eval(bell_poly(n), 2),
+            factorial(n),
         )
         for n in range(n_max + 1)
     )
-    return _pointwise_report("polybell-row-sum", params, cases)
+    return _cleared_report("polybell-row-sum", params, cases)
 
 
 IDENTITY_IDS: tuple[str, ...] = (

@@ -26,7 +26,6 @@ __all__ = [
     "polybell_pos",
     "polybell_neg",
     "polybell_neg_row",
-    "polybell_neg_int",
     "polybell_neg_derivative",
     "polybell_neg_row_poly",
     "polybell_poly",
@@ -41,11 +40,10 @@ def polybell_pos(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Fra
     return pbell_number(n, p, backend) / factorial(p)
 
 
-def polybell_neg(n: int, p: int) -> Fraction:
-    """B_n^(-p) = sum_{k >= p} k!/(k-p)! {n,k}; an integer-valued Rational."""
+def polybell_neg(n: int, p: int) -> int:
+    """B_n^(-p) = sum_{k >= p} k!/(k-p)! {n,k}."""
     _check_np(n, p)
-    row = stirling2_row(n)
-    return Fraction(sum(perm(k, p) * row[k] for k in range(p, n + 1)))
+    return sum(perm(k, p) * s for k, s in enumerate(stirling2_row(n)))
 
 
 def polybell_neg_row(n: int, p_max: int) -> list[int]:
@@ -59,21 +57,10 @@ def polybell_neg_row(n: int, p_max: int) -> list[int]:
     return out
 
 
-def polybell_neg_int(n: int, p: int) -> int:
-    """B_n^(-p) as a Python int (raises if a non-integer ever appeared)."""
-    value = polybell_neg(n, p)
-    if value.denominator != 1:
-        raise ArithmeticError(f"B_{n}^(-{p}) = {value} is not an integer")
-    return value.numerator
-
-
-def polybell_neg_derivative(n: int, p: int) -> Fraction:
+def polybell_neg_derivative(n: int, p: int) -> int:
     """The derivative form B_n^(-p) = p! sum_j C(n,j) {j,p} phi_{n-j}."""
     _check_np(n, p)
-    return factorial(p) * sum(
-        (comb(n, j) * stirling2(j, p) * bell_number(n - j) for j in range(p, n + 1)),
-        Fraction(0),
-    )
+    return factorial(p) * sum(comb(n, j) * stirling2(j, p) * bell_number(n - j) for j in range(p, n + 1))
 
 
 def polybell_neg_row_poly(n: int) -> Polynomial:
@@ -89,7 +76,7 @@ def polybell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Po
     return pbell_poly(n, p, backend) * Fraction(1, factorial(p))
 
 
-def duality_counterexample() -> tuple[int, int, Fraction, Fraction]:
+def duality_counterexample() -> tuple[int, int, int, int]:
     """Smallest (n, p) with n > p >= 1 and B_n^(-p) != B_p^(-n).
 
     Poly-Bernoulli numbers satisfy B_n^(-p) = B_p^(-n); poly-Bell numbers do

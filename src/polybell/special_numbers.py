@@ -4,7 +4,7 @@ Stirling numbers of both kinds, their r-shifted and weighted-polynomial
 relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
 Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
 ``int``s, the Bernoulli families exact ``Fraction``s; all are memoized in one
-shared write-once triangle cache, filled row by row by ``TriangleCache.fill_rows``.
+shared write-once cache, one tuple per row, built by ``TriangleCache.fill_rows``.
 
 Conventions
 -----------
@@ -47,56 +47,75 @@ __all__ = [
     "bell_number",
 ]
 
-Key = tuple  # (family tag, row, col)
-
 
 class TriangleCache:
-    """Write-once memo for triangular families, keyed by (tag, row, col).
+    """Write-once memo for triangular families, one tuple per (tag, row).
 
-    There is no lock: every read and write is one dict operation, which is
-    atomic in CPython, and ``put`` is ``dict.setdefault``, so two threads
-    racing on the same cell still observe the same value.  ``force`` exists
-    for fault injection in tests and is the only way to overwrite an entry.
+    ``put((tag, r), row)`` stores a whole row; ``get((tag, r, c))`` and
+    ``key in cache`` read one cell of a stored row.  There is no lock: every
+    read and write is one dict operation, which is atomic in CPython, and
+    ``put`` is ``dict.setdefault``, so two threads racing on the same row
+    still observe the same tuple.  ``force`` exists for fault injection in
+    tests and is the only way to change a stored value.
     """
 
     def __init__(self) -> None:
-        self._store: dict[Key, object] = {}
+        self._store: dict[tuple, tuple] = {}
         self._rows: dict[str, int] = {}
+        self._planted: dict[tuple, dict[int, object]] = {}
 
-    def get(self, key: Key):
-        return self._store.get(key)
+    def get(self, key: tuple):
+        tag, r, c = key
+        row = self._store.get((tag, r), ())
+        return row[c] if c < len(row) else None
 
-    def put(self, key: Key, value):
-        return self._store.setdefault(key, value)
+    def put(self, key: tuple, row: tuple) -> tuple:
+        return self._store.setdefault(key, row)
 
-    def fill_rows(self, tag: str, n_max: int, step, width: int | None = None) -> None:
-        """Fill rows 0..n_max of ``tag`` with ``step(tag, r, c)``, in increasing
-        order so every read of row r-1 hits the cache.  Row r holds columns
-        0..r (a triangle) when ``width`` is None, else columns 0..width-1.
+    def fill_rows(self, tag: str, n_max: int, step) -> tuple:
+        """Build rows 0..n_max of ``tag``, row r as ``step(tag, r, row r-1)``
+        (row -1 is ``()``), and return row n_max.
 
-        A fill resumes after the last row it recorded as complete; ``put``
-        keeps the first value, so cells planted by ``force`` win and feed
-        later rows.  A racing fill may record a lower count, which only costs
-        a redundant refill; ``clear`` must not race a fill.
+        A fill resumes after the last row it recorded as complete.  Cells
+        that ``force`` parked for a row not yet built replace the computed
+        ones before the row is stored, so they feed every later row; ``put``
+        keeps the first row stored.  A racing fill may record a lower count,
+        which only costs a redundant refill; ``clear`` must not race a fill.
         """
-        for r in range(self._rows.get(tag, 0), n_max + 1):
-            for c in range(r + 1 if width is None else width):
-                self.put((tag, r, c), step(tag, r, c))
+        start = self._rows.get(tag, 0)
+        row = self._store.get((tag, start - 1), ())
+        for r in range(start, n_max + 1):
+            row = step(tag, r, row)
+            planted = self._planted.pop((tag, r), None)
+            if planted:
+                row = tuple(planted.get(c, v) for c, v in enumerate(row))
+            row = self.put((tag, r), row)
             self._rows[tag] = r + 1
+        return self._store[(tag, n_max)]
 
-    def force(self, key: Key, value) -> None:
-        """Test hook: overwrite one cell, bypassing write-once semantics."""
-        self._store[key] = value
+    def force(self, key: tuple, value) -> None:
+        """Test hook: overwrite cell (tag, r, c).  A stored row is replaced
+        by a copy holding the value, and rows already built keep theirs; a
+        row not yet built takes the value when ``fill_rows`` builds it, so
+        it feeds the rows built after it."""
+        tag, r, c = key
+        row = self._store.get((tag, r))
+        if row is None:
+            self._planted.setdefault((tag, r), {})[c] = value
+        else:
+            self._store[(tag, r)] = row[:c] + (value,) + row[c + 1 :]
 
     def clear(self) -> None:
         self._store.clear()
         self._rows.clear()
+        self._planted.clear()
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def __contains__(self, key: Key) -> bool:
-        return key in self._store
+    def __contains__(self, key: tuple) -> bool:
+        tag, r, c = key
+        return c < len(self._store.get((tag, r), ()))
 
 
 CACHE = TriangleCache()
@@ -116,26 +135,22 @@ def _check_indices(n: int, k: int) -> None:
         raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
 
 
-def _cached(tag: str, r: int, c: int):
-    val = CACHE.get((tag, r, c))
-    return 0 if val is None else val
-
-
-def _cell(tag: str, n: int, k: int, step, width: int | None = None):
+def _cell(tag: str, n: int, k: int, step):
     """Cell (n, k) of ``tag``: one cache read on a hit, else fill rows 0..n."""
     hit = CACHE.get((tag, n, k))
-    if hit is None:
-        CACHE.fill_rows(tag, n, step, width)
-        hit = CACHE.get((tag, n, k))
-    return hit
+    return CACHE.fill_rows(tag, n, step)[k] if hit is None else hit
 
 
-def _s2_step(tag: str, r: int, c: int) -> int:
-    if r == 0:
-        return 1 if c == 0 else 0
-    if c == 0:
-        return 0
-    return c * _cached(tag, r - 1, c) + _cached(tag, r - 1, c - 1)
+def _r_step(shift: int):
+    """Row step of T(r, c) = (c + shift) T(r-1, c) + T(r-1, c-1), T(0, c) = [c = 0]."""
+    return lambda tag, r, prev: (
+        tuple((c + shift) * a + b for c, (a, b) in enumerate(zip(prev + (0,), (0,) + prev)))
+        if r
+        else (1,)
+    )
+
+
+_s2_step = _r_step(0)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -145,19 +160,14 @@ def stirling2(n: int, k: int) -> int:
 
 
 def stirling2_row(n: int) -> list[int]:
-    """[{n,0}, ..., {n,n}]: one fill, then plain cache reads, so cells
-    planted by ``force`` win as they do in :func:`stirling2`."""
+    """[{n,0}, ..., {n,n}]: a copy of the stored row, so cells planted by
+    ``force`` win as they do in :func:`stirling2`."""
     _check_indices(n, 0)
-    CACHE.fill_rows(_S2, n, _s2_step)
-    return [CACHE.get((_S2, n, k)) for k in range(n + 1)]
+    return list(CACHE.fill_rows(_S2, n, _s2_step))
 
 
-def _s1_step(tag: str, r: int, c: int) -> int:
-    if r == 0:
-        return 1 if c == 0 else 0
-    if c == 0:
-        return 0
-    return _cached(tag, r - 1, c - 1) - (r - 1) * _cached(tag, r - 1, c)
+def _s1_step(tag: str, r: int, prev: tuple) -> tuple:
+    return tuple(b - (r - 1) * a for a, b in zip(prev + (0,), (0,) + prev)) if r else (1,)
 
 
 def stirling1(n: int, k: int) -> int:
@@ -171,26 +181,13 @@ def r_stirling2(n: int, k: int, r: int) -> int:
     _check_indices(n, k)
     if r < 0:
         raise ValueError(f"shift must be nonnegative, got r={r}")
-    if k > n:
-        return 0
-
-    def step(t: str, row: int, c: int) -> int:
-        if row == 0:
-            return 1 if c == 0 else 0
-        return (c + r) * _cached(t, row - 1, c) + _cached(t, row - 1, c - 1)
-
-    return _cell(f"s2r:{r}", n, k, step)
+    return 0 if k > n else _cell(f"s2r:{r}", n, k, _r_step(r))
 
 
 def weighted_stirling_poly(n: int, k: int) -> Polynomial:
     """S_n^k(x) = sum_{i} C(n,i) {i,k} x^{n-i}; the zero polynomial if k > n."""
     _check_indices(n, k)
-    if k > n:
-        return Polynomial()
-    coeffs = [Fraction(0)] * (n - k + 1)
-    for i in range(k, n + 1):
-        coeffs[n - i] = comb(n, i) * stirling2(i, k)
-    return Polynomial(coeffs)
+    return Polynomial([comb(n, i) * stirling2(i, k) for i in range(n, k - 1, -1)])
 
 
 def whitney2(n: int, k: int, m: int, r: int) -> Fraction:
@@ -198,21 +195,19 @@ def whitney2(n: int, k: int, m: int, r: int) -> Fraction:
     _check_indices(n, k)
     if m <= 0:
         raise ValueError(f"modulus must be positive, got m={m}")
-    if k > n:
-        return Fraction(0)
     return Fraction(m) ** (n - k) * poly_eval(weighted_stirling_poly(n, k), Fraction(r, m))
 
 
-def _bern_step(tag: str, m: int, c: int) -> Fraction:
+def _bern_step(tag: str, m: int, prev: tuple) -> tuple:
     if m == 0:
-        return Fraction(1)
-    return -sum(comb(m + 1, j) * _cached(tag, j, 0) for j in range(m)) / (m + 1)
+        return (Fraction(1),)
+    return (-sum(comb(m + 1, j) * CACHE.get((tag, j, 0)) for j in range(m)) / (m + 1),)
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention)."""
     _check_indices(n, 0)
-    return _cell(_BERN, n, 0, _bern_step, 1)
+    return _cell(_BERN, n, 0, _bern_step)
 
 
 def _genbern_tag(alpha: int) -> str:
@@ -220,9 +215,13 @@ def _genbern_tag(alpha: int) -> str:
     return _BERN if alpha == 1 else f"genbernoulli:{alpha}"
 
 
-def _genbern_step(tag: str, m: int, c: int) -> Fraction:
-    lower = _genbern_tag(int(tag.partition(":")[2]) - 1)
-    return sum(comb(m, j) * _cached(_BERN, j, 0) * _cached(lower, m - j, 0) for j in range(m + 1))
+def _genbern_step(alpha: int):
+    """Row step of order alpha, the binomial convolution of order alpha-1
+    with the Bernoulli column."""
+    lower = _genbern_tag(alpha - 1)
+    return lambda tag, m, prev: (
+        sum(comb(m, j) * CACHE.get((_BERN, j, 0)) * CACHE.get((lower, m - j, 0)) for j in range(m + 1)),
+    )
 
 
 def gen_bernoulli(n: int, alpha: int) -> Fraction:
@@ -235,10 +234,10 @@ def gen_bernoulli(n: int, alpha: int) -> Fraction:
     hit = CACHE.get((_genbern_tag(alpha), n, 0))
     if hit is not None:
         return hit
-    bernoulli(n)
+    value = bernoulli(n)
     for a in range(2, alpha + 1):  # order a reads order a-1, already filled to row n
-        CACHE.fill_rows(_genbern_tag(a), n, _genbern_step, 1)
-    return CACHE.get((_genbern_tag(alpha), n, 0))
+        (value,) = CACHE.fill_rows(_genbern_tag(a), n, _genbern_step(a))
+    return value
 
 
 def bell_poly(n: int) -> Polynomial:
@@ -247,11 +246,11 @@ def bell_poly(n: int) -> Polynomial:
     return Polynomial(stirling2_row(n))
 
 
-def _bell_step(tag: str, r: int, c: int) -> int:
-    return sum(stirling2_row(r))
+def _bell_step(tag: str, r: int, prev: tuple) -> tuple:
+    return (sum(stirling2_row(r)),)
 
 
 def bell_number(n: int) -> int:
     """Bell number phi_n = number of partitions of an n-set."""
     _check_indices(n, 0)
-    return _cell(_BELL, n, 0, _bell_step, 1)
+    return _cell(_BELL, n, 0, _bell_step)

@@ -15,6 +15,7 @@ from polybell.identity_verifier import (
     verify_derivative_operator_form,
     verify_double_egf_polybell,
     verify_iterated_integral,
+    verify_row_sum,
     verify_stirling_transform,
 )
 from polybell.special_numbers import CACHE
@@ -123,6 +124,17 @@ def test_planted_column_cell_is_reported_in_lowest_terms(monkeypatch, check, det
     values = re.findall(r"[lr]hs=([^,\s]+)", report.detail)
     assert len(values) == 2
     assert all(format_rational(parse_rational(v)) == v for v in values)
+
+
+def test_planted_row_sum_fault_is_reported_in_lowest_terms(monkeypatch):
+    # phi_3(2) scaled by 8/7: both sides are compared as integers over 3!, and
+    # the detail names the same values the Fraction sum did
+    real = identity_verifier.bell_poly
+    monkeypatch.setattr(
+        identity_verifier, "bell_poly", lambda n: real(n) * Fraction(8, 7) if n == 3 else real(n)
+    )
+    report = verify_row_sum(8)
+    assert report.detail == "first failing case at (n=3): lhs=22, rhs=176/7"
 
 
 def test_egf_checks_build_one_power_ladder(monkeypatch):

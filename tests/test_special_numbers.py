@@ -115,6 +115,7 @@ def test_weighted_stirling_poly_values():
 
 def test_weighted_stirling_poly_above_diagonal_is_zero():
     assert weighted_stirling_poly(3, 5).is_zero
+    assert whitney2(3, 5, 2, 1) == 0
 
 
 def test_whitney2_chain():
@@ -193,21 +194,26 @@ def test_bell_poly_touchard_recurrence():
 
 def test_cache_put_is_write_once():
     cache = TriangleCache()
-    cache.put(("t", 1, 1), Fraction(5))
-    cache.put(("t", 1, 1), Fraction(9))
+    assert cache.put(("t", 1), (4, Fraction(5))) == (4, 5)
+    assert cache.put(("t", 1), (8, Fraction(9))) == (4, 5)
     assert cache.get(("t", 1, 1)) == 5
     assert ("t", 1, 1) in cache
+    assert ("t", 1, 2) not in cache and cache.get(("t", 1, 2)) is None
     assert len(cache) == 1
 
 
 def test_cache_force_overrides_for_tests():
     cache = TriangleCache()
-    cache.put(("t", 1, 1), Fraction(5))
+    cache.put(("t", 1), (4, Fraction(5)))
     cache.force(("t", 1, 1), Fraction(9))
-    assert cache.get(("t", 1, 1)) == 9
+    assert cache.get(("t", 1, 0)) == 4 and cache.get(("t", 1, 1)) == 9
+    cache.force(("t", 2, 0), Fraction(7))  # row 2 is not built: parked, not readable
+    assert cache.get(("t", 2, 0)) is None
     cache.clear()
     assert len(cache) == 0
     assert cache.get(("t", 1, 1)) is None
+    # clear also drops the parked cell, so a later fill computes row 2 afresh
+    assert cache.fill_rows("t", 2, lambda tag, r, prev: (r, r)) == (2, 2)
 
 
 def test_global_cache_resets_between_tests():
@@ -259,6 +265,14 @@ def test_integer_families_are_ints():
     assert type(r_stirling2(10, 3, 2)) is int
     assert type(bell_number(10)) is int
     assert type(stirling2(3, 5)) is int
+
+
+def test_stirling2_row_is_a_copy():
+    row = stirling2_row(6)
+    row[3] = 0
+    row.append(1)
+    assert stirling2(6, 3) == 90
+    assert stirling2_row(6) == [0, 1, 31, 90, 65, 15, 1]
 
 
 def test_stirling2_row_matches_cells():
@@ -326,9 +340,9 @@ def test_sequential_requests_put_each_cell_once(monkeypatch):
     cache = _counting_cache(monkeypatch)
     for n in range(201):
         assert stirling2(n, 1) == (1 if n >= 1 else 0)
-    cells = {("s2", r, c) for r in range(201) for c in range(r + 1)}
-    assert set(cache.puts) == cells
+    assert set(cache.puts) == {("s2", r) for r in range(201)}
     assert set(cache.puts.values()) == {1}
+    assert all(("s2", r, r) in cache and ("s2", r, r + 1) not in cache for r in range(201))
 
 
 def test_racing_fills_never_skip_a_row():
@@ -358,14 +372,14 @@ def test_racing_fills_never_skip_a_row():
 def test_cache_clear_forgets_complete_rows():
     cache = TriangleCache()
 
-    def step(tag, r, c):
-        return 10 * r + c
+    def step(tag, r, prev):
+        return tuple(10 * r + c for c in range(r + 1))
 
-    cache.fill_rows("t", 3, step)
-    assert len(cache) == 10 and cache.get(("t", 3, 2)) == 32
+    assert cache.fill_rows("t", 3, step) == (30, 31, 32, 33)
+    assert len(cache) == 4 and cache.get(("t", 3, 2)) == 32
     cache.clear()
-    cache.fill_rows("t", 1, step)
-    assert len(cache) == 3 and cache.get(("t", 0, 0)) == 0
+    assert cache.fill_rows("t", 1, step) == (10, 11)
+    assert len(cache) == 2 and cache.get(("t", 0, 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +392,10 @@ def test_one_column_families_put_each_cell_once(monkeypatch):
         bernoulli(n)
         gen_bernoulli(n, 4)
         bell_number(n)
-    cells = {(tag, r, 0) for r in range(31) for tag in ("bernoulli", "bell")}
-    cells |= {(f"genbernoulli:{a}", r, 0) for a in (2, 3, 4) for r in range(31)}
-    cells |= {("s2", r, c) for r in range(31) for c in range(r + 1)}
-    assert set(cache.puts) == cells
+    tags = ["bernoulli", "bell", "s2"] + [f"genbernoulli:{a}" for a in (2, 3, 4)]
+    assert set(cache.puts) == {(tag, r) for r in range(31) for tag in tags}
     assert set(cache.puts.values()) == {1}
+    assert all((tag, r, 0) in cache and (tag, r, 1) not in cache for tag, r in cache.puts if tag != "s2")
 
 
 def test_gen_bernoulli_against_series_powers():
