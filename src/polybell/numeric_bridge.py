@@ -52,6 +52,7 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN_SPLIT = 0xC2B2AE3D27D4EB4F
 _CHUNK = 1 << 19
+_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class NumericCheck:
             "abs_error": self.abs_error,
             "tolerance": self.tolerance,
             "samples_or_terms": self.samples_or_terms,
+            "rel_error": self.abs_error / abs(float(self.target)) if self.target else None,
         }
         out.update(self.extra)
         return out
@@ -160,22 +162,29 @@ def hyp1f1(a: float, b: float, z: float, tol: float = 1e-15) -> float:
 
 def lower_inc_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma gamma(s, x) for s > 0, x >= 0, by the series
-    gamma(s,x) = x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k))."""
+    gamma(s,x) = x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)).
+
+    For x > s the rest Gamma(s, x) is at most x^s e^{-x}/(x - s + 1); once that
+    is below 2^-54 Gamma(s) the answer is Gamma(s).  Otherwise the sum, which is
+    e^x x^-s gamma(s, x), stays below 2^54 for x > s and below its value at
+    x = s for x <= s, and x^s e^{-x} is taken in logs, so nothing overflows
+    unless the result does.  Past 10^4 terms it raises, as hyp1f1 does.
+    """
     if s <= 0:
         raise ValueError(f"shape must be positive, got s={s}")
     if x < 0:
         raise ValueError(f"argument must be nonnegative, got x={x}")
     if x == 0:
         return 0.0
+    if x > s and s * math.log(x) - x - math.log(x - s + 1) < math.lgamma(s) - 54 * math.log(2):
+        return math.gamma(s)
     total = term = 1.0 / s
-    k = 0
-    while True:
-        k += 1
+    for k in range(1, 10_000):
         term *= x / (s + k)
         total += term
-        if term <= 1e-17 * total or k > 10_000:
-            break
-    return x**s * math.exp(-x) * total
+        if term <= 1e-17 * total:
+            return math.exp(s * math.log(x) - x) * total
+    raise RuntimeError(f"gamma({s}, {x}) series did not converge in 10^4 terms; partial={total!r}")
 
 
 def dobinski_pbell(n: int, p: int, tol: float = 1e-9) -> NumericCheck:
@@ -240,63 +249,123 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
     return NumericCheck(total, target, abs(total - float(target)), tolerance, terms)
 
 
-def cesaro_pbell(n: int, p: int, quad_points: int = 16, tol: float = 1e-6) -> NumericCheck:
-    """Cesaro-type integral for B_{n,p} (n, p >= 1):
+def _log_f_real(r: float, p: int) -> tuple[float, float]:
+    """log f_p(r) and r f_p'(r)/f_p(r) at real r > 0, from the positive series
+    f_p = sum_m t_m, t_m = w^m p!/(p+m)!, w = e^r - 1, summed relative to its
+    largest term (r f_p' = r (w+1)/w sum_m m t_m).  Past m = w + 10 sqrt(w) + 40
+    the terms are below 2^-53 of that term."""
+    w = math.expm1(r)
+    m = np.arange(int(w + 10 * math.sqrt(w)) + 40)
+    log_t = np.concatenate(([0.0], np.cumsum(np.log(w / (p + m[1:])))))
+    t = np.exp(log_t - log_t.max())
+    total = math.fsum(t)
+    return log_t.max() + math.log(total), r * (w + 1) / w * math.fsum(m * t) / total
 
-    B_{n,p} = (2 n! p! / (pi e)) int_0^pi Im[ exp(exp(e^{i t})) W^{-p}
-              - e sum_{l<p} W^{l-p}/l! ] sin(n t) dt,   W = exp(e^{i t}) - 1.
 
-    Composite Gauss-Legendre with the panel count doubled until two successive
-    estimates differ by less than tol/4; each panel level is one vectorised
-    evaluation on its (panels x quad_points) node grid, panels summed with
-    ``fsum``.  At the default tol it settles for n <= 11 (p <= 6); beyond
-    that the n! p! prefactor amplifies float cancellation and it may raise
-    "did not settle" instead.
+def _f_on_circle(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_p(z) at complex nodes, and sum|term| of each evaluation: with
+    w = e^z - 1 and s_l = w^l/l!, f_p = (e^w - sum_{l<p} s_l)/s_p where
+    |w| >= p + 1, else sum_{p<=l<2p+56} s_l/s_p, whose terms at least halve
+    from l = 2p + 1 on, so the rest is below 2^-54 s_p."""
+    w = np.exp(z) - 1.0
+    s = np.ones_like(w)
+    sums = np.zeros((4,) + w.shape, complex)  # sum and sum|.| of s_l, l < p then l >= p
+    for l in range(2 * p + 56):
+        if l == p:
+            s_p = s
+        sums[2 * (l >= p)] += s
+        sums[2 * (l >= p) + 1] += np.abs(s)
+        s = s * (w / (l + 1))
+    head, head_abs, tail, tail_abs = sums
+    big = np.abs(w) >= p + 1
+    e = np.exp(w)
+    value = np.where(big, e - head, tail) / s_p
+    size = np.where(big, np.abs(e) + head_abs, tail_abs).real / np.abs(s_p)
+    return value, size
+
+
+def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
+    """Cesaro's integral for B_{n,p} (n, p >= 1), Cauchy's coefficient integral
+    of f_p(z) = 1F1(1; p+1; e^z - 1), by the N-node trapezoid rule on |z| = r:
+    B_{n,p} ~ n! r^-n mean_j f_p(z_j) e^{-i n theta_j}, z_j = r e^{i theta_j},
+    theta_j = 2 pi j/N.  Cesaro took r = 1; here r is the saddle point, the
+    minimiser of log f_p(r) - n log r (30 bisection steps on r f_p'/f_p = n in
+    [0, log(n+p+2)]), where the rule converges geometrically and is well
+    conditioned.  e^{-i n theta_j} is conj(e^{i theta_k}), k = nj mod N, and
+    n! r^-n times the mean is formed in logs.
+
+    N starts at 2n + 64 and doubles until the aliasing bound is below the
+    rounding bound.  Each B_{k,p}/k! >= 0, so |f_p| <= f_p(R) on |z| = R and
+    aliasing is at most n! f_p(R) R^-n q/(1-q), q = (r/R)^N, at R = 1.25 r.
+
+    Rounding, u = 2^-53, taking real operations correct to u, exp, log, cos
+    and sin to 2u, lgamma to 8u and complex products and quotients to 5u:
+    - nodes: the angle is within 6 pi u, e^{i theta_j} within 22u, z_j within
+      23 r u and e^{z_j} - 1 within (23 r + 6) u e^r, which moves f_p(z_j)
+      by at most (23 r + 6) u f_p'(r), as |f_p'| <= f_p'(r) on the circle;
+    - evaluation (see _f_on_circle): s_l, l < 2p + 56, is within 6 l u, the
+      sum of at most p + 56 terms adds (p + 56) u, its truncation u, e^w 5u
+      and the division by s_p (6p + 5) u; the phase (22u) and the real part
+      of the product (3u) bring each summand within 19 (p + 23) u sum|term|;
+    - accumulation: fsum and the division by N add u each; the exponent
+      lgamma(n+1) - n log r + log|mean| is within 15 u Lambda, Lambda the sum
+      of its three magnitudes; exp, the target's rounding and the difference
+      add 4u, in all (16 Lambda + 8) u |estimate|.
+    The check passes within max(tol, rounding + aliasing).  A target past the
+    float range (p = 1: n >= 220) raises ValueError before any quadrature;
+    below it no intermediate overflows.
     """
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    if quad_points < 2:
-        raise ValueError(f"need at least 2 nodes per panel, got {quad_points}")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        big = np.exp(np.exp(1j * theta))
-        w = big - 1.0
-        value = np.exp(big) / w**p
-        value -= math.e * sum(w ** (l - p) / factorial(l) for l in range(p))
-        return value.imag * np.sin(n * theta)
-
-    def composite(panels: int) -> float:
-        width = math.pi / panels
-        half = 0.5 * width
-        theta = ((np.arange(panels) + 0.5) * width)[:, None] + half * nodes
-        return math.fsum(half * (integrand(theta) @ weights))
-
-    prefactor = 2.0 * factorial(n) * factorial(p) / (math.pi * math.e)
-    previous = None
-    panels = 1
-    estimate = None
-    evaluations = 0
-    while panels <= 4096:
-        estimate = prefactor * composite(panels)
-        evaluations += panels * quad_points
-        if previous is not None and abs(estimate - previous) < tol / 4:
-            break
-        previous = estimate
-        panels *= 2
-    else:
-        raise RuntimeError(f"quadrature for ({n}, {p}) did not settle by 4096 panels")
     target = pbell_number(n, p)
-    return NumericCheck(estimate, target, abs(estimate - float(target)), tol, evaluations)
+    try:
+        target_float = float(target)
+    except OverflowError:
+        msg = f"B_{{{n},{p}}} is past the float range (1.8e308); for p = 1 the limit is n <= 219"
+        raise ValueError(msg) from None
+    lo, hi = 0.0, math.log(n + p + 2)
+    for _ in range(30):
+        r = 0.5 * (lo + hi)
+        lo, hi = (r, hi) if _log_f_real(r, p)[1] < n else (lo, r)
+    log_fr, saddle = _log_f_real(r, p)
+    log_aliasing = math.lgamma(n + 1) + _log_f_real(1.25 * r, p)[0] - n * math.log(1.25 * r)
+    log_prefactor = math.lgamma(n + 1) - n * math.log(r)
+    node_error = (23 * r + 6) * _U * saddle / r * math.exp(log_fr)
+    nodes, evaluations = 2 * n + 64, 0
+    while True:
+        k = np.arange(nodes)
+        omega = np.exp(2j * math.pi / nodes * k)
+        value, size = _f_on_circle(r * omega, p)
+        evaluations += nodes
+        mean = math.fsum((value * np.conj(omega[n * k % nodes])).real) / nodes
+        log_mean = math.log(abs(mean))
+        estimate = math.copysign(math.exp(log_prefactor + log_mean), mean)
+        lam = math.lgamma(n + 1) + abs(n * math.log(r)) + abs(log_mean)
+        inner = 19 * (p + 23) * _U * float(np.mean(size)) + node_error
+        rounding = math.exp(log_prefactor + math.log(inner)) + abs(estimate) * ((16 * lam + 8) * _U)
+        log_q = nodes * math.log(0.8)
+        aliasing = math.exp(log_aliasing + log_q - math.log1p(-math.exp(log_q)))
+        if aliasing <= rounding:
+            break
+        nodes *= 2
+    error, extra = abs(estimate - target_float), {"nodes": nodes, "radius": r}
+    return NumericCheck(estimate, target, error, max(tol, rounding + aliasing), evaluations, extra)
 
 
-def _beta_poisson_vector(p: int, count: int, stream: RngStream) -> np.ndarray:
+def beta_poisson_sample(p: int, rng: RngStream) -> int:
+    """One beta-Poisson draw, consuming two uniforms from ``rng``."""
+    return int(beta_poisson_batch(p, 1, rng)[0])
+
+
+def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
     """``count`` beta-Poisson draws: first ``count`` uniforms feed the
     Beta(1,p) inverse CDF, the next ``count`` drive Poisson inversion.  Each
     round keeps only the draws whose cdf is still at most their uniform; a
     stopped draw never restarts, so the kept ones see the same float ops."""
-    lam = 1.0 - stream.uniforms(count) ** (1.0 / p)
-    u_z = stream.uniforms(count)
+    if p < 1 or count < 0:
+        raise ValueError(f"need p >= 1 and count >= 0, got p={p}, count={count}")
+    lam = 1.0 - rng.uniforms(count) ** (1.0 / p)
+    u_z = rng.uniforms(count)
     pmf = cdf = np.exp(-lam)
     z = np.zeros(count, dtype=np.int64)
     idx = np.arange(count)
@@ -314,31 +383,6 @@ def _beta_poisson_vector(p: int, count: int, stream: RngStream) -> np.ndarray:
             raise RuntimeError("Poisson inversion runaway; lambda should be <= 1")
 
 
-def beta_poisson_sample(p: int, rng: RngStream) -> int:
-    """One beta-Poisson draw, consuming two uniforms from ``rng``."""
-    if p < 1:
-        raise ValueError(f"need p >= 1, got p={p}")
-    u = rng.uniforms(2)
-    lam = 1.0 - float(u[0]) ** (1.0 / p)
-    pmf = math.exp(-lam)
-    cdf = pmf
-    k = 0
-    while u[1] >= cdf:
-        k += 1
-        pmf *= lam / k
-        cdf += pmf
-    return k
-
-
-def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
-    """``count`` draws consumed directly from ``rng`` (one vectorized block)."""
-    if p < 1:
-        raise ValueError(f"need p >= 1, got p={p}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    return _beta_poisson_vector(p, count, rng)
-
-
 def _chunked_moments(p: int, samples: int, rng: RngStream, transform) -> tuple[float, float]:
     """(mean, sample std of the transformed draws), chunked over split streams.
 
@@ -354,7 +398,7 @@ def _chunked_moments(p: int, samples: int, rng: RngStream, transform) -> tuple[f
     chunk_index = 0
     while done < samples:
         m = min(_CHUNK, samples - done)
-        z = _beta_poisson_vector(p, m, rng.split(chunk_index))
+        z = beta_poisson_batch(p, m, rng.split(chunk_index))
         vals = transform(z)
         total = float(np.sum(vals))
         dev = vals - total / m

@@ -19,6 +19,7 @@ from polybell.numeric_bridge import (
     mgf_check,
     pmf_check,
 )
+from polybell.cli import main
 from polybell.exact_core import poly_eval
 from polybell.pbell import pbell_number, pbell_poly
 
@@ -46,6 +47,24 @@ def test_hyp1f1_rejects_nonpositive_integer_denominator_parameter():
         hyp1f1(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         hyp1f1(1.0, -3.0, 0.5)
+
+
+@pytest.mark.parametrize("s,x", [(3.0, 750.0), (1.0, 2e4), (2.5, 40.0), (7.0, 7.5), (0.5, 1e-3)])
+def test_lower_inc_gamma_matches_mpmath_at_large_x(s, x):
+    mpmath = pytest.importorskip("mpmath")
+    got = lower_inc_gamma(s, x)
+    assert math.isclose(got, float(mpmath.gammainc(s, 0, x)), rel_tol=1e-12), (s, x, got)
+
+
+@pytest.mark.parametrize("s,x", [(1e6, 1e6 + 5e3), (4e5, 4e5 + 3e3), (150.0, 1e3), (200.0, 1e3)])
+def test_lower_inc_gamma_past_the_term_cap_is_right_or_raises(s, x):
+    mpmath = pytest.importorskip("mpmath")
+    try:
+        got = lower_inc_gamma(s, x)
+    except (RuntimeError, OverflowError):
+        return
+    assert not math.isnan(got)
+    assert math.isclose(got, float(mpmath.gammainc(s, 0, x)), rel_tol=1e-10), (s, x, got)
 
 
 def test_lower_inc_gamma_closed_forms():
@@ -160,24 +179,63 @@ def test_cesaro_settles_and_passes_for_n_up_to_11():
 
 @pytest.mark.parametrize("n,p", [(12, 5), (13, 5), (14, 1), (14, 2), (20, 6), (30, 1)])
 def test_cesaro_beyond_domain_settles_right_or_raises(n, p):
-    # past n = 11 float cancellation may stop the quadrature from settling,
-    # but a value it does settle on must never be a false fail
-    try:
-        check = cesaro_pbell(n, p)
-    except RuntimeError as exc:
-        assert "did not settle" in str(exc)
-    else:
-        assert check.passed, (n, p, check.abs_error, check.tolerance)
+    # the old unit-circle quadrature stopped settling here; the saddle-point
+    # circle must now pass
+    check = cesaro_pbell(n, p)
+    assert check.passed, (n, p, check.abs_error, check.tolerance)
 
 
 def test_cesaro_respects_node_count_and_validates():
-    check = cesaro_pbell(2, 1, quad_points=8)
-    assert check.passed
-    assert check.samples_or_terms % 8 == 0
-    with pytest.raises(ValueError):
-        cesaro_pbell(0, 1)
-    with pytest.raises(ValueError):
-        cesaro_pbell(1, 1, quad_points=1)
+    # N starts at 2n + 64 and only doubles: the nodes of the last pass, and all
+    # of them evaluated over the passes
+    for n, p in [(1, 1), (2, 1), (12, 5), (27, 5), (60, 8)]:
+        check = cesaro_pbell(n, p)
+        nodes, first = check.extra["nodes"], 2 * n + 64
+        assert nodes >= first and nodes % first == 0
+        doublings = (nodes // first).bit_length() - 1
+        assert nodes == first << doublings
+        assert check.samples_or_terms == first * (2 ** (doublings + 1) - 1)
+    for n, p in [(0, 1), (1, 0), (-3, 2)]:
+        with pytest.raises(ValueError):
+            cesaro_pbell(n, p)
+    with pytest.raises(TypeError):
+        cesaro_pbell(2, 1, quad_points=8)
+    assert main(["numeric", "cesaro", "--n", "2", "--p", "1", "--quad-points", "8"]) == 2
+
+
+def test_cesaro_grid_passes_within_a_relative_bound():
+    for n in range(1, 61):
+        for p in range(1, 9):
+            check = cesaro_pbell(n, p)
+            target = float(check.target)
+            assert check.passed, (n, p, check.abs_error, check.tolerance)
+            assert check.tolerance <= max(1e-6, 1e-7 * target), (n, p, check.tolerance)
+
+
+def test_cesaro_perturbed_target_fails(monkeypatch):
+    # no false pass: a target off by one part in 10^6 is caught wherever the
+    # absolute floor 1e-6 cannot hide it
+    import polybell.numeric_bridge as nb
+
+    monkeypatch.setattr(nb, "pbell_number", lambda n, p: pbell_number(n, p) * Fraction(1000001, 10**6))
+    for n in range(1, 61):
+        for p in range(1, 9):
+            if pbell_number(n, p) >= 10:
+                assert not cesaro_pbell(n, p).passed, (n, p)
+
+
+@pytest.mark.parametrize("n,p", [(200, 1), (200, 6)])
+def test_cesaro_passes_at_large_n(n, p):
+    check = cesaro_pbell(n, p)
+    assert check.passed and check.abs_error <= 1e-12 * float(check.target)
+
+
+def test_cesaro_rejects_a_target_past_the_float_range(capsys):
+    assert float(pbell_number(219, 1)) > 1e306
+    with pytest.raises(ValueError, match="float range"):
+        cesaro_pbell(220, 1)
+    assert main(["numeric", "cesaro", "--n", "220", "--p", "1"]) == 2
+    assert "n <= 219" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +445,15 @@ def test_numeric_check_json_round_trip():
     doc = check.to_json_dict()
     assert isinstance(doc["target"], float)
     assert "shifted_form" in doc
+
+
+def test_numeric_check_reports_relative_error():
+    check = dobinski_pbell(20, 2)
+    doc = check.to_json_dict()
+    assert doc["rel_error"] == check.abs_error / float(check.target)
+    assert NumericCheck(0.5, Fraction(0), 0.5, 1.0, 1).to_json_dict()["rel_error"] is None
+    doc = mgf_check(2, 0.1, 1_000, RngStream(0)).to_json_dict()
+    assert doc["rel_error"] == doc["abs_error"] / abs(doc["target"])
 
 
 def test_numeric_check_passed_is_tolerance_comparison():
