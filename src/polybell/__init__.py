@@ -4,7 +4,7 @@ The package computes every number by several independent routes (explicit
 Stirling sums, a derivative recurrence, a triangle sweep, and a generalized
 Bernoulli closed form), verifies the family's generating-function and
 pointwise identities at truncated order over exact rationals, and
-cross-checks the analytic representations (Dobinski-type series, oscillatory
+cross-checks the analytic representations (Dobinski-type series, contour
 integrals, Monte Carlo moments of a beta-mixed Poisson law) in floating
 point.
 """
