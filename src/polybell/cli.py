@@ -40,16 +40,6 @@ __all__ = ["main", "main_entry", "render_table"]
 
 _TABLE_KINDS = ("pbell-numbers", "polybell-neg", "pbell-poly-coeffs")
 _BACKEND_NAMES = tuple(b.value for b in PBellBackend)
-# numeric subcommands: help, required arguments (x is num/den or float, t a
-# float, the others int) and the option with a default; all take --seed
-_NUMERIC_ARGS = {
-    "dobinski": ("series estimate of a p-Bell number", "n p", "tol", 1e-9),
-    "dobinski-poly": ("series estimate of a p-Bell polynomial value", "n p x", "tol", 1e-9),
-    "cesaro": ("contour-integral estimate of a p-Bell number", "n p", "tol", 1e-6),
-    "mc": ("Monte Carlo moment check of a polynomial value", "n p x", "samples", 1_000_000),
-    "mgf": ("Monte Carlo check of the moment generating function", "p t", "samples", 1_000_000),
-    "pmf": ("Monte Carlo check of the mixture pmf", "p k", "samples", 1_000_000),
-}
 
 
 def _rational_or_float(text: str):
@@ -187,22 +177,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_numeric(args) -> int:
-    _, required, option, _ = _NUMERIC_ARGS[args.numeric_check]
-    params = {name: getattr(args, name) for name in required.split()}
-    values = [_rational_or_float(v) if name == "x" else v for name, v in params.items()]
-    check_fn = {
-        "dobinski": dobinski_pbell,
-        "dobinski-poly": dobinski_pbell_poly,
-        "cesaro": cesaro_pbell,
-        "mc": mc_moment_check,
-        "mgf": mgf_check,
-        "pmf": pmf_check,
-    }[args.numeric_check]
-    if option == "tol":
-        check = check_fn(*values, tol=args.tol)
-    else:
-        params["seed"] = args.seed
-        check = check_fn(*values, args.samples, RngStream(args.seed))
+    rng = RngStream(args.seed)
+    if args.numeric_check == "dobinski":
+        check = dobinski_pbell(args.n, args.p, tol=args.tol)
+        params = {"n": args.n, "p": args.p}
+    elif args.numeric_check == "dobinski-poly":
+        x = _rational_or_float(args.x)
+        check = dobinski_pbell_poly(args.n, args.p, x, tol=args.tol)
+        params = {"n": args.n, "p": args.p, "x": args.x}
+    elif args.numeric_check == "cesaro":
+        check = cesaro_pbell(args.n, args.p, tol=args.tol)
+        params = {"n": args.n, "p": args.p}
+    elif args.numeric_check == "mc":
+        x = _rational_or_float(args.x)
+        check = mc_moment_check(args.n, args.p, x, args.samples, rng)
+        params = {"n": args.n, "p": args.p, "x": args.x, "seed": args.seed}
+    elif args.numeric_check == "mgf":
+        check = mgf_check(args.p, args.t, args.samples, rng)
+        params = {"p": args.p, "t": args.t, "seed": args.seed}
+    elif args.numeric_check == "pmf":
+        check = pmf_check(args.p, args.k, args.samples, rng)
+        params = {"p": args.p, "k": args.k, "seed": args.seed}
+    else:  # pragma: no cover - argparse restricts choices
+        raise AssertionError(args.numeric_check)
     payload = {"check": args.numeric_check, "params": params, "passed": check.passed}
     payload.update(check.to_json_dict())
     print(json.dumps(payload))
@@ -304,14 +301,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_numeric = sub.add_parser("numeric", help="numeric and Monte Carlo checks")
     nsub = p_numeric.add_subparsers(dest="numeric_check", required=True)
 
-    for name, (help_text, required, option, default) in _NUMERIC_ARGS.items():
-        n_check = nsub.add_parser(name, help=help_text)
-        for arg in required.split():
-            point = "evaluation point (num/den or float)" if arg == "x" else None
-            kind = {"x": str, "t": float}.get(arg, int)
-            n_check.add_argument(f"--{arg}", type=kind, required=True, help=point)
-        n_check.add_argument(f"--{option}", type=type(default), default=default)
-        n_check.add_argument("--seed", type=int, default=0)
+    n_dob = nsub.add_parser("dobinski", help="series estimate of a p-Bell number")
+    n_dob.add_argument("--n", type=int, required=True)
+    n_dob.add_argument("--p", type=int, required=True)
+    n_dob.add_argument("--tol", type=float, default=1e-9)
+
+    n_dobp = nsub.add_parser("dobinski-poly", help="series estimate of a p-Bell polynomial value")
+    n_dobp.add_argument("--n", type=int, required=True)
+    n_dobp.add_argument("--p", type=int, required=True)
+    n_dobp.add_argument("--x", required=True, help="evaluation point (num/den or float)")
+    n_dobp.add_argument("--tol", type=float, default=1e-9)
+
+    n_ces = nsub.add_parser("cesaro", help="contour-integral estimate of a p-Bell number")
+    n_ces.add_argument("--n", type=int, required=True)
+    n_ces.add_argument("--p", type=int, required=True)
+    n_ces.add_argument("--tol", type=float, default=1e-6)
+
+    n_mc = nsub.add_parser("mc", help="Monte Carlo moment check of a polynomial value")
+    n_mc.add_argument("--n", type=int, required=True)
+    n_mc.add_argument("--p", type=int, required=True)
+    n_mc.add_argument("--x", required=True, help="evaluation point (num/den or float)")
+    n_mc.add_argument("--samples", type=int, default=1_000_000)
+
+    n_mgf = nsub.add_parser("mgf", help="Monte Carlo check of the moment generating function")
+    n_mgf.add_argument("--p", type=int, required=True)
+    n_mgf.add_argument("--t", type=float, required=True)
+    n_mgf.add_argument("--samples", type=int, default=1_000_000)
+
+    n_pmf = nsub.add_parser("pmf", help="Monte Carlo check of the mixture pmf")
+    n_pmf.add_argument("--p", type=int, required=True)
+    n_pmf.add_argument("--k", type=int, required=True)
+    n_pmf.add_argument("--samples", type=int, default=1_000_000)
+
+    for np_ in (n_dob, n_dobp, n_ces, n_mc, n_mgf, n_pmf):
+        np_.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser("bench", help="time the backends on a column of values")
     p_bench.add_argument("--nmax", type=int, required=True)

@@ -475,6 +475,24 @@ def verify_row_sum(n_max: int) -> CheckReport:
     return _cleared_report("polybell-row-sum", params, cases)
 
 
+IDENTITY_IDS: tuple[str, ...] = (
+    "egf-definition",
+    "egf-closed-form",
+    "egf-step-recurrence",
+    "egf-three-term",
+    "double-egf-pbell",
+    "double-egf-polybell",
+    "egf-derivative-operator",
+    "incomplete-gamma-form",
+    "cross-column-recurrence",
+    "stirling-transform",
+    "poly-recurrence",
+    "ramanujan-p1",
+    "iterated-integral",
+    "polybell-row-sum",
+)
+
+
 def thread_count() -> int:
     """Worker count of the identity suite: 1, since the suite runs serially."""
     return 1
@@ -499,8 +517,12 @@ def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], Ch
     for p in range(1, p_max + 1):
         jobs.append(("incomplete-gamma-form", lambda p=p: verify_incomplete_gamma_form(p, order)))
     jobs.append(("cross-column-recurrence", lambda: verify_column_recurrence(n_max, p_max)))
-    m = min(n_max, 8)
-    jobs.append(("stirling-transform", lambda: verify_stirling_transform(m, m, min(p_max, 4))))
+    jobs.append(
+        (
+            "stirling-transform",
+            lambda: verify_stirling_transform(min(n_max, 8), min(n_max, 8), min(p_max, 4)),
+        )
+    )
     jobs.append(("poly-recurrence", lambda: verify_poly_recurrence(min(n_max, 10), min(p_max, 4))))
     jobs.append(("ramanujan-p1", lambda: verify_ramanujan_form(n_max)))
     jobs.append(("iterated-integral", lambda: verify_iterated_integral(min(n_max, 10), p_max)))
@@ -508,12 +530,11 @@ def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], Ch
     return jobs
 
 
-# the ids in suite order, read off the job list so the two cannot drift apart
-IDENTITY_IDS: tuple[str, ...] = tuple(dict.fromkeys(name for name, _ in _jobs(1, 1, 1)))
-
-
 def run_all(
-    n_max: int = 12, p_max: int = 5, order: int = 12, only: Sequence[str] | None = None
+    n_max: int = 12,
+    p_max: int = 5,
+    order: int = 12,
+    only: Sequence[str] | None = None,
 ) -> list[CheckReport]:
     """Run every identity check (or the named subset) and return the reports
     in a deterministic order."""

@@ -165,7 +165,10 @@ _BACKEND_FN: dict[PBellBackend, Callable[[int, int], Fraction]] = {
 
 
 def pbell_number(
-    n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND, cross_check: bool = False
+    n: int,
+    p: int,
+    backend: PBellBackend = DEFAULT_BACKEND,
+    cross_check: bool = False,
 ) -> Fraction:
     """B_{n,p} via the chosen backend.
 
