@@ -249,38 +249,34 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
     return NumericCheck(total, target, abs(total - float(target)), tolerance, terms)
 
 
+def _series_terms(w: float) -> int:
+    """Terms of f_p = sum_m t_m, t_m = w^m p!/(p+m)!, kept at real w >= 0:
+    past m = w + 10 sqrt(w) + 40 the rest is below 2^-54 of the largest term."""
+    return int(w + 10 * math.sqrt(w)) + 40
+
+
 def _log_f_real(r: float, p: int) -> tuple[float, float]:
     """log f_p(r) and r f_p'(r)/f_p(r) at real r > 0, from the positive series
-    f_p = sum_m t_m, t_m = w^m p!/(p+m)!, w = e^r - 1, summed relative to its
-    largest term (r f_p' = r (w+1)/w sum_m m t_m).  Past m = w + 10 sqrt(w) + 40
-    the terms are below 2^-53 of that term."""
+    f_p = sum_m t_m, w = e^r - 1, summed relative to its largest term
+    (r f_p' = r (w+1)/w sum_m m t_m)."""
     w = math.expm1(r)
-    m = np.arange(int(w + 10 * math.sqrt(w)) + 40)
+    m = np.arange(_series_terms(w))
     log_t = np.concatenate(([0.0], np.cumsum(np.log(w / (p + m[1:])))))
     t = np.exp(log_t - log_t.max())
     total = math.fsum(t)
     return log_t.max() + math.log(total), r * (w + 1) / w * math.fsum(m * t) / total
 
 
-def _f_on_circle(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """f_p(z) at complex nodes, and sum|term| of each evaluation: with
-    w = e^z - 1 and s_l = w^l/l!, f_p = (e^w - sum_{l<p} s_l)/s_p where
-    |w| >= p + 1, else sum_{p<=l<2p+56} s_l/s_p, whose terms at least halve
-    from l = 2p + 1 on, so the rest is below 2^-54 s_p."""
+def _f_on_circle(z: np.ndarray, p: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_p(z) = sum_{m<terms} t_m, t_m = w^m p!/(p+m)!, w = e^z - 1, at complex
+    nodes, and sum_m |t_m| at each."""
     w = np.exp(z) - 1.0
-    s = np.ones_like(w)
-    sums = np.zeros((4,) + w.shape, complex)  # sum and sum|.| of s_l, l < p then l >= p
-    for l in range(2 * p + 56):
-        if l == p:
-            s_p = s
-        sums[2 * (l >= p)] += s
-        sums[2 * (l >= p) + 1] += np.abs(s)
-        s = s * (w / (l + 1))
-    head, head_abs, tail, tail_abs = sums
-    big = np.abs(w) >= p + 1
-    e = np.exp(w)
-    value = np.where(big, e - head, tail) / s_p
-    size = np.where(big, np.abs(e) + head_abs, tail_abs).real / np.abs(s_p)
+    t = np.ones_like(w)
+    value, size = t.copy(), np.ones(w.shape)
+    for m in range(1, terms):
+        t = t * (w / (p + m))
+        value += t
+        size += np.abs(t)
     return value, size
 
 
@@ -292,7 +288,11 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
     minimiser of log f_p(r) - n log r (30 bisection steps on r f_p'/f_p = n in
     [0, log(n+p+2)]), where the rule converges geometrically and is well
     conditioned.  e^{-i n theta_j} is conj(e^{i theta_k}), k = nj mod N, and
-    n! r^-n times the mean is formed in logs.
+    n! r^-n times the mean is formed in logs.  f_p(z_j) is summed as its power
+    series in w = e^{z_j} - 1 to M = _series_terms(W) terms, W = e^r - 1 >= |w|:
+    the coefficients are positive, so sum_m |t_m| <= f_p(r), which exceeds the
+    mean on this circle by only the saddle-point width factor.  (Dividing by
+    w^p/p!, as the closed form does, underflows where |w| is small.)
 
     N starts at 2n + 64 and doubles until the aliasing bound is below the
     rounding bound.  Each B_{k,p}/k! >= 0, so |f_p| <= f_p(R) on |z| = R and
@@ -303,17 +303,17 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
     - nodes: the angle is within 6 pi u, e^{i theta_j} within 22u, z_j within
       23 r u and e^{z_j} - 1 within (23 r + 6) u e^r, which moves f_p(z_j)
       by at most (23 r + 6) u f_p'(r), as |f_p'| <= f_p'(r) on the circle;
-    - evaluation (see _f_on_circle): s_l, l < 2p + 56, is within 6 l u, the
-      sum of at most p + 56 terms adds (p + 56) u, its truncation u, e^w 5u
-      and the division by s_p (6p + 5) u; the phase (22u) and the real part
-      of the product (3u) bring each summand within 19 (p + 23) u sum|term|;
+    - evaluation: t_m is within 10 m u, the sum adds M u and the dropped rest,
+      at most that at W, is below u f_p(r); the phase (22u) and the real part
+      of the product (3u) bring summand j within (11 M + 25) u sum_m |t_m| +
+      u f_p(r);
     - accumulation: fsum and the division by N add u each; the exponent
       lgamma(n+1) - n log r + log|mean| is within 15 u Lambda, Lambda the sum
       of its three magnitudes; exp, the target's rounding and the difference
       add 4u, in all (16 Lambda + 8) u |estimate|.
     The check passes within max(tol, rounding + aliasing).  A target past the
-    float range (p = 1: n >= 220) raises ValueError before any quadrature;
-    below it no intermediate overflows.
+    float range (p = 1: n >= 220) raises ValueError before any quadrature, and
+    so does a non-finite sum or a need for more than 2^16 nodes.
     """
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
@@ -326,30 +326,34 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
     lo, hi = 0.0, math.log(n + p + 2)
     for _ in range(30):
         r = 0.5 * (lo + hi)
-        lo, hi = (r, hi) if _log_f_real(r, p)[1] < n else (lo, r)
-    log_fr, saddle = _log_f_real(r, p)
+        log_fr, slope = _log_f_real(r, p)
+        lo, hi = (r, hi) if slope < n else (lo, r)
     log_aliasing = math.lgamma(n + 1) + _log_f_real(1.25 * r, p)[0] - n * math.log(1.25 * r)
     log_prefactor = math.lgamma(n + 1) - n * math.log(r)
-    node_error = (23 * r + 6) * _U * saddle / r * math.exp(log_fr)
+    terms = _series_terms(math.expm1(r))
+    node_error = ((23 * r + 6) * slope / r + 1) * _U * math.exp(log_fr)
     nodes, evaluations = 2 * n + 64, 0
     while True:
         k = np.arange(nodes)
         omega = np.exp(2j * math.pi / nodes * k)
-        value, size = _f_on_circle(r * omega, p)
+        value, size = _f_on_circle(r * omega, p, terms)
         evaluations += nodes
         mean = math.fsum((value * np.conj(omega[n * k % nodes])).real) / nodes
         log_mean = math.log(abs(mean))
         estimate = math.copysign(math.exp(log_prefactor + log_mean), mean)
         lam = math.lgamma(n + 1) + abs(n * math.log(r)) + abs(log_mean)
-        inner = 19 * (p + 23) * _U * float(np.mean(size)) + node_error
+        inner = (11 * terms + 25) * _U * float(np.mean(size)) + node_error
         rounding = math.exp(log_prefactor + math.log(inner)) + abs(estimate) * ((16 * lam + 8) * _U)
+        if not math.isfinite(estimate + rounding) or nodes > 1 << 16:
+            raise ValueError(f"the quadrature for B_{{{n},{p}}} broke down at {nodes} nodes")
         log_q = nodes * math.log(0.8)
-        aliasing = math.exp(log_aliasing + log_q - math.log1p(-math.exp(log_q)))
-        if aliasing <= rounding:
+        log_alias = log_aliasing + log_q - math.log1p(-math.exp(log_q))
+        if log_alias <= math.log(rounding):
             break
         nodes *= 2
     error, extra = abs(estimate - target_float), {"nodes": nodes, "radius": r}
-    return NumericCheck(estimate, target, error, max(tol, rounding + aliasing), evaluations, extra)
+    tolerance = max(tol, rounding + math.exp(log_alias))
+    return NumericCheck(estimate, target, error, tolerance, evaluations, extra)
 
 
 def beta_poisson_sample(p: int, rng: RngStream) -> int:

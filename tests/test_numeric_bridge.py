@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polybell.numeric_bridge as nb
 from polybell.numeric_bridge import (
     NumericCheck,
     RngStream,
@@ -215,8 +216,6 @@ def test_cesaro_grid_passes_within_a_relative_bound():
 def test_cesaro_perturbed_target_fails(monkeypatch):
     # no false pass: a target off by one part in 10^6 is caught wherever the
     # absolute floor 1e-6 cannot hide it
-    import polybell.numeric_bridge as nb
-
     monkeypatch.setattr(nb, "pbell_number", lambda n, p: pbell_number(n, p) * Fraction(1000001, 10**6))
     for n in range(1, 61):
         for p in range(1, 9):
@@ -228,6 +227,48 @@ def test_cesaro_perturbed_target_fails(monkeypatch):
 def test_cesaro_passes_at_large_n(n, p):
     check = cesaro_pbell(n, p)
     assert check.passed and check.abs_error <= 1e-12 * float(check.target)
+
+
+@pytest.mark.parametrize("n,p", [(1, 200), (1, 1000), (60, 100), (242, 100)])
+def test_cesaro_passes_at_large_p(n, p):
+    # w^p/p! underflows on part of these circles, so f_p must not divide by it
+    check = cesaro_pbell(n, p, tol=0.0)
+    assert check.passed and check.abs_error <= 1e-12 * float(check.target), (n, p)
+
+
+def test_cesaro_series_cut_off_drops_below_half_an_ulp():
+    # log of t_m = w^m p!/(p+m)! and of the rest past _series_terms(w), bounded
+    # by a geometric series, against the largest term
+    for w in [1e-3, 0.5, 3.0, 20.0, 150.0, 1e3, 1e4]:
+        for p in [1, 5, 100, 10**4]:
+            terms = nb._series_terms(w)
+
+            def log_t(m):
+                return m * math.log(w) - math.lgamma(p + m + 1) + math.lgamma(p + 1)
+
+            top = log_t(max(0, min(terms, math.ceil(w - p - 1))))
+            rest = log_t(terms) - math.log1p(-w / (p + terms + 1))
+            assert rest - top < -54 * math.log(2), (w, p)
+
+
+def test_cesaro_raises_instead_of_looping(monkeypatch):
+    # a non-finite sum, or an aliasing bound that would need more than 2^16
+    # nodes, raises instead of doubling N for ever
+    monkeypatch.setattr(nb, "_f_on_circle", lambda z, p, terms: (z * np.nan, abs(z)))
+    with pytest.raises(ValueError, match="broke down"):
+        cesaro_pbell(5, 2)
+    monkeypatch.undo()
+    real, radii = nb._log_f_real, []
+
+    def inflated(r, p):
+        log_f, slope = real(r, p)
+        aliasing_call = radii and math.isclose(r, 1.25 * radii[-1])
+        radii.append(r)
+        return log_f + (1e5 if aliasing_call else 0.0), slope
+
+    monkeypatch.setattr(nb, "_log_f_real", inflated)
+    with pytest.raises(ValueError, match="broke down at 69632 nodes"):
+        cesaro_pbell(2, 1)
 
 
 def test_cesaro_rejects_a_target_past_the_float_range(capsys):
