@@ -251,8 +251,8 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
 
 def _series_terms(w: float) -> int:
     """Terms of f_p = sum_m t_m, t_m = w^m p!/(p+m)!, kept at real w >= 0:
-    past m = w + 10 sqrt(w) + 40 the rest is below 2^-54 of the largest term."""
-    return int(w + 10 * math.sqrt(w)) + 40
+    past m = w + 10 sqrt(w) + 20 the rest is below 2^-54 of the largest term."""
+    return int(w + 10 * math.sqrt(w)) + 20
 
 
 def _log_f_real(r: float, p: int) -> tuple[float, float]:
@@ -263,21 +263,19 @@ def _log_f_real(r: float, p: int) -> tuple[float, float]:
     m = np.arange(_series_terms(w))
     log_t = np.concatenate(([0.0], np.cumsum(np.log(w / (p + m[1:])))))
     t = np.exp(log_t - log_t.max())
-    total = math.fsum(t)
-    return log_t.max() + math.log(total), r * (w + 1) / w * math.fsum(m * t) / total
+    total = t.sum()
+    return log_t.max() + math.log(total), r * (w + 1) / w * (m @ t) / total
 
 
-def _f_on_circle(z: np.ndarray, p: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """f_p(z) = sum_{m<terms} t_m, t_m = w^m p!/(p+m)!, w = e^z - 1, at complex
-    nodes, and sum_m |t_m| at each."""
+def _f_on_circle(z: np.ndarray, p: int, terms: int) -> np.ndarray:
+    """f_p(z) = sum_{m<terms} w^m p!/(p+m)!, w = e^z - 1, at complex nodes."""
     w = np.exp(z) - 1.0
     t = np.ones_like(w)
-    value, size = t.copy(), np.ones(w.shape)
+    value = t.copy()
     for m in range(1, terms):
         t = t * (w / (p + m))
         value += t
-        size += np.abs(t)
-    return value, size
+    return value
 
 
 def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
@@ -285,17 +283,17 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
     of f_p(z) = 1F1(1; p+1; e^z - 1), by the N-node trapezoid rule on |z| = r:
     B_{n,p} ~ n! r^-n mean_j f_p(z_j) e^{-i n theta_j}, z_j = r e^{i theta_j},
     theta_j = 2 pi j/N.  Cesaro took r = 1; here r is the saddle point, the
-    minimiser of log f_p(r) - n log r (30 bisection steps on r f_p'/f_p = n in
-    [0, log(n+p+2)]), where the rule converges geometrically and is well
-    conditioned.  e^{-i n theta_j} is conj(e^{i theta_k}), k = nj mod N, and
+    minimiser of log f_p(r) - n log r (12 bisection steps on r f_p'/f_p = n in
+    [0, log(n+p+2)]; the bounds below hold for any r), where the rule converges
+    geometrically and is well conditioned.  e^{-i n theta_j} is conj(e^{i theta_k}), k = nj mod N, and
     n! r^-n times the mean is formed in logs.  f_p(z_j) is summed as its power
     series in w = e^{z_j} - 1 to M = _series_terms(W) terms, W = e^r - 1 >= |w|:
     the coefficients are positive, so sum_m |t_m| <= f_p(r), which exceeds the
     mean on this circle by only the saddle-point width factor.  (Dividing by
     w^p/p!, as the closed form does, underflows where |w| is small.)
 
-    N starts at 2n + 64 and doubles until the aliasing bound is below the
-    rounding bound.  Each B_{k,p}/k! >= 0, so |f_p| <= f_p(R) on |z| = R and
+    N starts at 2n + 64 and doubles, each pass evaluating only the new nodes,
+    until the aliasing bound is below the rounding bound.  Each B_{k,p}/k! >= 0, so |f_p| <= f_p(R) on |z| = R and
     aliasing is at most n! f_p(R) R^-n q/(1-q), q = (r/R)^N, at R = 1.25 r.
 
     Rounding, u = 2^-53, taking real operations correct to u, exp, log, cos
@@ -304,9 +302,9 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
       23 r u and e^{z_j} - 1 within (23 r + 6) u e^r, which moves f_p(z_j)
       by at most (23 r + 6) u f_p'(r), as |f_p'| <= f_p'(r) on the circle;
     - evaluation: t_m is within 10 m u, the sum adds M u and the dropped rest,
-      at most that at W, is below u f_p(r); the phase (22u) and the real part
-      of the product (3u) bring summand j within (11 M + 25) u sum_m |t_m| +
-      u f_p(r);
+      at most that at W, is below u f_p(r); with the phase (22u) and the real
+      part of the product (3u), and sum_m |t_m| <= f_p(r), each summand is
+      within (11 M + 26) u f_p(r);
     - accumulation: fsum and the division by N add u each; the exponent
       lgamma(n+1) - n log r + log|mean| is within 15 u Lambda, Lambda the sum
       of its three magnitudes; exp, the target's rounding and the difference
@@ -324,36 +322,35 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
         msg = f"B_{{{n},{p}}} is past the float range (1.8e308); for p = 1 the limit is n <= 219"
         raise ValueError(msg) from None
     lo, hi = 0.0, math.log(n + p + 2)
-    for _ in range(30):
+    for _ in range(12):
         r = 0.5 * (lo + hi)
         log_fr, slope = _log_f_real(r, p)
         lo, hi = (r, hi) if slope < n else (lo, r)
     log_aliasing = math.lgamma(n + 1) + _log_f_real(1.25 * r, p)[0] - n * math.log(1.25 * r)
     log_prefactor = math.lgamma(n + 1) - n * math.log(r)
     terms = _series_terms(math.expm1(r))
-    node_error = ((23 * r + 6) * slope / r + 1) * _U * math.exp(log_fr)
-    nodes, evaluations = 2 * n + 64, 0
+    per_unit = (23 * r + 6) * slope / r + 11 * terms + 26  # in u n! r^-n f_p(r)
+    evaluation_error = math.exp(log_prefactor + log_fr + math.log(per_unit * _U))
+    nodes, new, summands = 2 * n + 64, slice(None), np.empty(0)
     while True:
         k = np.arange(nodes)
         omega = np.exp(2j * math.pi / nodes * k)
-        value, size = _f_on_circle(r * omega, p, terms)
-        evaluations += nodes
-        mean = math.fsum((value * np.conj(omega[n * k % nodes])).real) / nodes
+        value = _f_on_circle(r * omega[new], p, terms)
+        summands = np.concatenate((summands, (value * np.conj(omega[n * k[new] % nodes])).real))
+        mean = math.fsum(summands) / nodes
         log_mean = math.log(abs(mean))
         estimate = math.copysign(math.exp(log_prefactor + log_mean), mean)
         lam = math.lgamma(n + 1) + abs(n * math.log(r)) + abs(log_mean)
-        inner = (11 * terms + 25) * _U * float(np.mean(size)) + node_error
-        rounding = math.exp(log_prefactor + math.log(inner)) + abs(estimate) * ((16 * lam + 8) * _U)
+        rounding = evaluation_error + abs(estimate) * ((16 * lam + 8) * _U)
         if not math.isfinite(estimate + rounding) or nodes > 1 << 16:
             raise ValueError(f"the quadrature for B_{{{n},{p}}} broke down at {nodes} nodes")
         log_q = nodes * math.log(0.8)
         log_alias = log_aliasing + log_q - math.log1p(-math.exp(log_q))
         if log_alias <= math.log(rounding):
             break
-        nodes *= 2
-    error, extra = abs(estimate - target_float), {"nodes": nodes, "radius": r}
-    tolerance = max(tol, rounding + math.exp(log_alias))
-    return NumericCheck(estimate, target, error, tolerance, evaluations, extra)
+        nodes, new = 2 * nodes, slice(1, None, 2)
+    error, tolerance = abs(estimate - target_float), max(tol, rounding + math.exp(log_alias))
+    return NumericCheck(estimate, target, error, tolerance, nodes, {"radius": r})
 
 
 def beta_poisson_sample(p: int, rng: RngStream) -> int:

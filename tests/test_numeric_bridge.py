@@ -186,16 +186,17 @@ def test_cesaro_beyond_domain_settles_right_or_raises(n, p):
     assert check.passed, (n, p, check.abs_error, check.tolerance)
 
 
-def test_cesaro_respects_node_count_and_validates():
-    # N starts at 2n + 64 and only doubles: the nodes of the last pass, and all
-    # of them evaluated over the passes
+def test_cesaro_respects_node_count_and_validates(monkeypatch):
+    # N starts at 2n + 64 and only doubles, and a doubling evaluates only the
+    # new nodes, so N nodes are evaluated in all
+    real, evaluated = nb._f_on_circle, []
+    monkeypatch.setattr(nb, "_f_on_circle", lambda z, *a: evaluated.append(z.size) or real(z, *a))
     for n, p in [(1, 1), (2, 1), (12, 5), (27, 5), (60, 8)]:
-        check = cesaro_pbell(n, p)
-        nodes, first = check.extra["nodes"], 2 * n + 64
-        assert nodes >= first and nodes % first == 0
-        doublings = (nodes // first).bit_length() - 1
-        assert nodes == first << doublings
-        assert check.samples_or_terms == first * (2 ** (doublings + 1) - 1)
+        evaluated.clear()
+        nodes, first = cesaro_pbell(n, p).samples_or_terms, 2 * n + 64
+        assert evaluated == [first] + [first << k for k in range(len(evaluated) - 1)]
+        assert sum(evaluated) == nodes, (n, p)
+    monkeypatch.undo()
     for n, p in [(0, 1), (1, 0), (-3, 2)]:
         with pytest.raises(ValueError):
             cesaro_pbell(n, p)
@@ -223,15 +224,9 @@ def test_cesaro_perturbed_target_fails(monkeypatch):
                 assert not cesaro_pbell(n, p).passed, (n, p)
 
 
-@pytest.mark.parametrize("n,p", [(200, 1), (200, 6)])
-def test_cesaro_passes_at_large_n(n, p):
-    check = cesaro_pbell(n, p)
-    assert check.passed and check.abs_error <= 1e-12 * float(check.target)
-
-
-@pytest.mark.parametrize("n,p", [(1, 200), (1, 1000), (60, 100), (242, 100)])
-def test_cesaro_passes_at_large_p(n, p):
-    # w^p/p! underflows on part of these circles, so f_p must not divide by it
+# at large p, w^p/p! underflows on part of the circle, so f_p must not divide by it
+@pytest.mark.parametrize("n,p", [(200, 1), (200, 6), (1, 200), (1, 1000), (60, 100), (242, 100)])
+def test_cesaro_passes_at_large_n_or_p(n, p):
     check = cesaro_pbell(n, p, tol=0.0)
     assert check.passed and check.abs_error <= 1e-12 * float(check.target), (n, p)
 
@@ -254,7 +249,7 @@ def test_cesaro_series_cut_off_drops_below_half_an_ulp():
 def test_cesaro_raises_instead_of_looping(monkeypatch):
     # a non-finite sum, or an aliasing bound that would need more than 2^16
     # nodes, raises instead of doubling N for ever
-    monkeypatch.setattr(nb, "_f_on_circle", lambda z, p, terms: (z * np.nan, abs(z)))
+    monkeypatch.setattr(nb, "_f_on_circle", lambda z, p, terms: z * np.nan)
     with pytest.raises(ValueError, match="broke down"):
         cesaro_pbell(5, 2)
     monkeypatch.undo()
