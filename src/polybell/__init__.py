@@ -24,7 +24,6 @@ from .exact_core import (
     egf_exp,
     egf_exp_rz,
     egf_mul,
-    egf_pow,
     egf_z,
     egf_zero,
     format_rational,
@@ -37,7 +36,6 @@ from .numeric_bridge import (
     NumericCheck,
     RngStream,
     beta_poisson_batch,
-    beta_poisson_sample,
     cesaro_pbell,
     dobinski_pbell,
     dobinski_pbell_poly,

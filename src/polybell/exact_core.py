@@ -42,7 +42,6 @@ __all__ = [
     "egf_exp_rz",
     "egf_em1",
     "egf_mul",
-    "egf_pow",
     "egf_exp",
     "egf_div",
     "egf_derivative",
@@ -339,20 +338,6 @@ def egf_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     ac, bc, n = a._nums, b._nums, min(a.order, b.order)
     conv = [sum(comb(m, k) * ac[k] * bc[m - k] for k in range(m + 1)) for m in range(n + 1)]
     return _series(conv, a._den * b._den)
-
-
-def egf_pow(a: EgfSeries, k: int) -> EgfSeries:
-    """a^k by binary exponentiation (k >= 0); a^0 is the constant 1."""
-    if k < 0:
-        raise ValueError("negative powers are not power series in general")
-    result = egf_constant(1, a.order)
-    base = a
-    while k:
-        if k & 1:
-            result = egf_mul(result, base)
-        base = egf_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
 
 
 def egf_exp(a: EgfSeries) -> EgfSeries:

@@ -12,12 +12,14 @@ finalizer, mapped to [0, 1) doubles by taking the top 53 bits.  The same seed
 always yields the same sequence.  ``split(j)`` derives the disjoint child
 stream ``mix64(seed XOR mix64((j+1) * 0xC2B2AE3D27D4EB4F))``; Monte Carlo
 loops draw chunk ``j`` from ``split(j)``, which makes the reduction layout a
-pure function of the sample count (chunk sums use NumPy's pairwise summation,
-the cross-chunk total is ``math.fsum``), independent of any parallelism.
+pure function of the sample count, independent of any parallelism.
 
 The beta-Poisson sampler draws lambda ~ Beta(1, p) by inverse CDF
 (lambda = 1 - u^{1/p}, always in [0, 1]) and then Z ~ Poisson(lambda) by
-inversion, which needs one uniform per draw since lambda <= 1.
+inversion, which needs one uniform per draw since lambda <= 1.  It returns
+the histogram of Z, which takes a dozen or so small values: chunk histograms
+are added as integers, and each reduction is exact over the distinct values
+(a rational sum for ``mc``, ``math.fsum`` for ``mgf``), rounded once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial
 from typing import Union
 
@@ -41,7 +44,6 @@ __all__ = [
     "dobinski_pbell",
     "dobinski_pbell_poly",
     "cesaro_pbell",
-    "beta_poisson_sample",
     "beta_poisson_batch",
     "mc_moment_check",
     "mgf_check",
@@ -146,8 +148,10 @@ class RngStream:
 def hyp1f1(a: float, b: float, z: float, tol: float = 1e-15) -> float:
     """Kummer's confluent hypergeometric 1F1(a; b; z) by direct summation.
 
-    All uses in this package have |z| <= e - 1, where the series converges in
-    well under the 10^4-term cap; hitting the cap raises with the partial sum.
+    The Dobinski and pmf checks use z = -1 and z = 1; the MGF check uses
+    z = e^t - 1 > -1, up to where the sum passes the float range (z ~ 716
+    at b = 2).  There the series converges in well under the 10^4-term cap;
+    hitting the cap raises with the partial sum.
     """
     if b <= 0 and float(b).is_integer():
         raise ValueError(f"1F1 undefined at nonpositive integer b={b}")
@@ -353,67 +357,41 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
     return NumericCheck(estimate, target, error, tolerance, nodes, {"radius": r})
 
 
-def beta_poisson_sample(p: int, rng: RngStream) -> int:
-    """One beta-Poisson draw, consuming two uniforms from ``rng``."""
-    return int(beta_poisson_batch(p, 1, rng)[0])
-
-
 def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
-    """``count`` beta-Poisson draws: first ``count`` uniforms feed the
-    Beta(1,p) inverse CDF, the next ``count`` drive Poisson inversion.  Each
-    round keeps only the draws whose cdf is still at most their uniform; a
-    stopped draw never restarts, so the kept ones see the same float ops."""
+    """Histogram of ``count`` beta-Poisson draws: ``counts[k]`` draws have
+    Z = k.  The first ``count`` of 2 ``count`` uniforms feed the Beta(1,p)
+    inverse CDF, the rest drive Poisson inversion.  Each round keeps only the
+    draws whose cdf is still at most their uniform, so the draws kept after
+    round k are those with Z >= k; a stopped draw never restarts, so the kept
+    ones see the same float ops as when every draw is updated each round."""
     if p < 1 or count < 0:
         raise ValueError(f"need p >= 1 and count >= 0, got p={p}, count={count}")
-    lam = 1.0 - rng.uniforms(count) ** (1.0 / p)
-    u_z = rng.uniforms(count)
+    u = rng.uniforms(2 * count)
+    lam = 1.0 - u[:count] ** (1.0 / p)
+    u_z = u[count:]
     pmf = cdf = np.exp(-lam)
-    z = np.zeros(count, dtype=np.int64)
-    idx = np.arange(count)
+    at_least = []  # at_least[k]: draws with Z >= k
     k = 0
-    while True:
+    while u_z.size:
+        if k > 200:
+            raise RuntimeError("Poisson inversion runaway; lambda should be <= 1")
+        at_least.append(u_z.size)
         keep = np.flatnonzero(u_z >= cdf)
-        if not keep.size:
-            return z
-        idx, lam, pmf, cdf, u_z = idx[keep], lam[keep], pmf[keep], cdf[keep], u_z[keep]
+        lam, pmf, cdf, u_z = lam[keep], pmf[keep], cdf[keep], u_z[keep]
         k += 1
         pmf *= lam / k
         cdf += pmf
-        z[idx] = k
-        if k > 200:
-            raise RuntimeError("Poisson inversion runaway; lambda should be <= 1")
+    tails = np.array(at_least + [0], dtype=np.int64)
+    return tails[:-1] - tails[1:]
 
 
-def _chunked_moments(p: int, samples: int, rng: RngStream, transform) -> tuple[float, float]:
-    """(mean, sample std of the transformed draws), chunked over split streams.
-
-    Each chunk's squares are centred on that chunk's own mean and the chunks
-    merge by Chan's rule, sum of squared deviations = sum_i M2_i +
-    sum_i n_i (mean_i - mean)^2, which is exact where sum v^2 - n mean^2
-    cancels (large offsets such as x = 1e9).
-    """
-    sizes: list[int] = []
-    sums: list[float] = []
-    squares: list[float] = []
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        z = beta_poisson_batch(p, m, rng.split(chunk_index))
-        vals = transform(z)
-        total = float(np.sum(vals))
-        dev = vals - total / m
-        sizes.append(m)
-        sums.append(total)
-        squares.append(float(dev @ dev))
-        done += m
-        chunk_index += 1
-    mean = math.fsum(sums) / samples
-    if samples < 2:
-        return mean, 0.0
-    between = math.fsum(k * (t / k - mean) ** 2 for k, t in zip(sizes, sums))
-    variance = (math.fsum(squares) + between) / (samples - 1)
-    return mean, math.sqrt(variance)
+def _chunked_histogram(p: int, samples: int, rng: RngStream) -> list[int]:
+    """Histogram of ``samples`` draws, chunk ``j`` drawn from ``rng.split(j)``."""
+    counts: list[int] = []
+    for j, done in enumerate(range(0, samples, _CHUNK)):
+        chunk = beta_poisson_batch(p, min(_CHUNK, samples - done), rng.split(j)).tolist()
+        counts = [a + b for a, b in zip_longest(counts, chunk, fillvalue=0)]
+    return counts
 
 
 def mc_moment_check(
@@ -421,22 +399,26 @@ def mc_moment_check(
 ) -> NumericCheck:
     """Monte Carlo check of B_{n,p}(x) = E[(x + Z)^n] for beta-Poisson Z.
 
-    The tolerance reported is the 4-sigma confidence half-width
-    4 * std / sqrt(samples).
+    The sample mean and variance are exact rationals over the histogram of Z,
+    each rounded once.  The tolerance reported is the 4-sigma confidence
+    half-width 4 * std / sqrt(samples).
     """
     if n < 0 or p < 1 or samples < 1:
         raise ValueError(f"need n >= 0, p >= 1, samples >= 1; got {n}, {p}, {samples}")
     x_exact = Fraction(x) if isinstance(x, float) else rational(x)
-    xf = float(x_exact)
-    mean, std = _chunked_moments(p, samples, rng, lambda z: (xf + z.astype(np.float64)) ** n)
-    tolerance = 4.0 * std / math.sqrt(samples)
-    target = poly_eval(pbell_poly(n, p), x_exact)
-    return NumericCheck(mean, target, abs(mean - float(target)), tolerance, samples)
+    counts = _chunked_histogram(p, samples, rng)
+    values = [(x_exact + k) ** n for k in range(len(counts))]
+    mean = sum(c * v for c, v in zip(counts, values)) / samples
+    variance = sum(c * (v - mean) ** 2 for c, v in zip(counts, values)) / max(samples - 1, 1)
+    tolerance = 4.0 * math.sqrt(variance) / math.sqrt(samples)
+    target, estimate = poly_eval(pbell_poly(n, p), x_exact), float(mean)
+    return NumericCheck(estimate, target, abs(estimate - float(target)), tolerance, samples)
 
 
 def mgf_check(p: int, t: float, samples: int, rng: RngStream) -> NumericCheck:
     """Monte Carlo check of E[e^{tZ}] against the closed form f_p(t) =
-    1F1(1; p+1; e^t - 1).
+    1F1(1; p+1; e^t - 1).  A closed form past the float range (p = 1:
+    t > 6.5755) raises ValueError before any sampling.
 
     The one-parameter-shifted variant 1F1(p; p+1; e^t - 1) is recorded
     alongside (keys ``shifted_form`` / ``shifted_form_abs_error``); it
@@ -444,11 +426,16 @@ def mgf_check(p: int, t: float, samples: int, rng: RngStream) -> NumericCheck:
     """
     if p < 1 or samples < 1:
         raise ValueError(f"need p >= 1 and samples >= 1; got {p}, {samples}")
-    mean, std = _chunked_moments(p, samples, rng, lambda z: np.exp(t * z.astype(np.float64)))
-    tolerance = 4.0 * std / math.sqrt(samples)
-    w = math.expm1(t)
-    target = hyp1f1(1.0, p + 1.0, w)
-    shifted = hyp1f1(float(p), p + 1.0, w)
+    w = math.expm1(min(t, 709.0))  # both forms are inf well before e^t - 1 overflows
+    target, shifted = hyp1f1(1.0, p + 1.0, w), hyp1f1(float(p), p + 1.0, w)
+    if not math.isfinite(target + shifted):
+        msg = f"f_{p}({t}) or its shifted form is past the float range (1.8e308); "
+        raise ValueError(msg + "for p = 1 the limit is t <= 6.5755")
+    counts = _chunked_histogram(p, samples, rng)
+    values = [math.exp(t * k) for k in range(len(counts))]
+    mean = math.fsum(c * v for c, v in zip(counts, values)) / samples
+    variance = math.fsum(c * (v - mean) ** 2 for c, v in zip(counts, values)) / max(samples - 1, 1)
+    tolerance = 4.0 * math.sqrt(variance) / math.sqrt(samples)
     extra = {"shifted_form": shifted, "shifted_form_abs_error": abs(mean - shifted)}
     return NumericCheck(mean, target, abs(mean - target), tolerance, samples, extra)
 
@@ -467,7 +454,8 @@ def pmf_check(p: int, k: int, samples: int, rng: RngStream) -> NumericCheck:
     """
     if p < 1 or k < 0 or samples < 1:
         raise ValueError(f"need p >= 1, k >= 0, samples >= 1; got {p}, {k}, {samples}")
-    empirical, _ = _chunked_moments(p, samples, rng, lambda z: z == k)
+    counts = _chunked_histogram(p, samples, rng)
+    empirical = counts[k] / samples if k < len(counts) else 0.0
     sigma = math.sqrt(max(empirical * (1.0 - empirical), 1e-300) / samples)
     target = factorial(p) / factorial(p + k) * hyp1f1(k + 1.0, p + k + 1.0, -1.0)
     unnormalized = p / (math.e * factorial(k) * (p + k)) * hyp1f1(1.0, p + k + 1.0, 1.0)

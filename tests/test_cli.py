@@ -335,6 +335,15 @@ def test_numeric_mgf_reports_both_forms(capsys):
     assert doc["shifted_form_abs_error"] > doc["abs_error"]
 
 
+def test_numeric_mgf_past_the_float_range_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "numeric", "mgf", "--p", "1", "--t", "7", "--samples", "1000"
+    )
+    assert code == 2 and out == ""
+    assert "float range" in err and "t <= 6.5755" in err
+    assert "Infinity" not in err and "NaN" not in err
+
+
 def test_numeric_cesaro_and_pmf(capsys):
     code, out, _ = run_cli(capsys, "numeric", "cesaro", "--n", "3", "--p", "2", "--tol", "1e-5")
     assert code == 0 and json.loads(out)["passed"] is True

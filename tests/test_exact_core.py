@@ -16,7 +16,6 @@ from polybell.exact_core import (
     egf_exp,
     egf_exp_rz,
     egf_mul,
-    egf_pow,
     egf_z,
     egf_zero,
     format_rational,
@@ -340,14 +339,6 @@ def test_egf_div_errors():
     # zero numerator divides cleanly (order drops by the valuation)
     q = egf_div(egf_zero(4), egf_em1(4))
     assert q.order == 3 and q.valuation() is None
-
-
-def test_egf_pow_matches_repeated_mul():
-    w = egf_em1(8)
-    by_pow = egf_pow(w, 3)
-    by_mul = egf_mul(egf_mul(w, w), w)
-    assert by_pow.coeffs == by_mul.coeffs
-    assert egf_pow(w, 0).coeffs == egf_constant(Fraction(1), 8).coeffs
 
 
 def test_egf_derivative_shifts():

@@ -10,7 +10,6 @@ from polybell.numeric_bridge import (
     NumericCheck,
     RngStream,
     beta_poisson_batch,
-    beta_poisson_sample,
     cesaro_pbell,
     dobinski_pbell,
     dobinski_pbell_poly,
@@ -348,17 +347,15 @@ def test_rng_split_streams_are_stable_and_distinct():
 # sampling and Monte Carlo checks
 
 
-def test_beta_poisson_scalar_and_batch_are_nonnegative_ints():
-    rng = RngStream(5)
-    draws = [beta_poisson_sample(2, rng) for _ in range(50)]
-    assert all(isinstance(d, int) and d >= 0 for d in draws)
-    batch = beta_poisson_batch(2, 1000, RngStream(5))
-    assert batch.dtype == np.int64 and (batch >= 0).all()
+def test_beta_poisson_batch_counts_are_nonnegative_ints():
+    counts = beta_poisson_batch(2, 1000, RngStream(5))
+    assert counts.dtype == np.int64 and (counts >= 0).all()
+    assert counts.sum() == 1000 and counts[-1] > 0
     assert beta_poisson_batch(1, 0, RngStream(0)).size == 0
     with pytest.raises(ValueError):
-        beta_poisson_sample(0, rng)
+        beta_poisson_batch(0, 1, RngStream(5))
     with pytest.raises(ValueError):
-        beta_poisson_batch(1, -1, rng)
+        beta_poisson_batch(1, -1, RngStream(5))
 
 
 def _reference_beta_poisson(p, count, seed):
@@ -387,22 +384,43 @@ def test_beta_poisson_batch_draws_are_unchanged():
             for count in (0, 1, 200_000):
                 rng = RngStream(seed)
                 got = beta_poisson_batch(p, count, rng)
-                assert np.array_equal(got, _reference_beta_poisson(p, count, seed)), (seed, p)
+                want = np.bincount(_reference_beta_poisson(p, count, seed))
+                assert np.array_equal(got, want), (seed, p, count)
                 assert np.array_equal(rng.uniforms(3), _reference_uniforms(seed, 2 * count, 3))
 
 
 def test_beta_poisson_batch_mean_tracks_first_moment():
     # E[Z] = 1/(p+1)
     for p in (1, 3):
-        z = beta_poisson_batch(p, 400_000, RngStream(11 + p))
-        mean = float(z.mean())
-        sigma = float(z.std(ddof=1)) / math.sqrt(z.size)
-        assert abs(mean - 1 / (p + 1)) < 5 * sigma
+        counts = beta_poisson_batch(p, 400_000, RngStream(11 + p))
+        k = np.arange(counts.size)
+        mean = float(k @ counts) / counts.sum()
+        std = math.sqrt(float((k - mean) ** 2 @ counts) / (counts.sum() - 1))
+        assert abs(mean - 1 / (p + 1)) < 5 * std / math.sqrt(counts.sum())
 
 
 def test_mc_moment_check_reference():
     check = mc_moment_check(1, 1, 0, 1_000_000, RngStream(42))
     assert check.target == Fraction(1, 2)
+    assert check.passed
+
+
+def test_mc_moment_check_is_exact_over_the_reference_draws():
+    # two chunks; at x = 1/2 each value (x + z)^n is (2z + 1)^n / 2^n
+    n, p, seed, samples = 7, 2, 19, nb._CHUNK + 1000
+    split = RngStream(seed).split
+    draws = np.concatenate(
+        [
+            _reference_beta_poisson(p, nb._CHUNK, split(0).seed),
+            _reference_beta_poisson(p, 1000, split(1).seed),
+        ]
+    ).tolist()
+    values = [(2 * z + 1) ** n for z in draws]
+    total, squares = sum(values), sum(v * v for v in values)
+    check = mc_moment_check(n, p, Fraction(1, 2), samples, RngStream(seed))
+    assert check.estimate == float(Fraction(total, 2**n * samples))
+    variance = Fraction(samples * squares - total**2, 4**n * samples * (samples - 1))
+    assert check.tolerance == 4.0 * math.sqrt(variance) / math.sqrt(samples)
     assert check.passed
 
 
@@ -422,12 +440,13 @@ def test_mc_moment_check_constant_case():
 
 
 def test_mc_band_survives_a_large_offset():
-    # at x = 1e9 the draws are ~1e18 and differ by ~1e9, so sum v^2 - n mean^2
-    # cancelled to a band of 0.0 and a false fail; chunk-centred squares keep
-    # the band near 4 sigma with the exact variance B_{4,1}(x) - B_{2,1}(x)^2
+    # at x = 1e9 the draws are ~1e18 and differ by ~1e9, so a float
+    # sum v^2 - n mean^2 cancels to a band of 0.0 and a false fail; the sample
+    # variance, taken in rationals, keeps the band near 4 sigma with the exact
+    # variance B_{4,1}(x) - B_{2,1}(x)^2
     samples, x = 1_000_000, 10**9
     check = mc_moment_check(2, 1, float(x), samples, RngStream(0))
-    assert check.estimate == 1.000000000998538e18  # the mean is summed as before
+    assert check.estimate == 1.000000000998538e18  # the same estimate as the float sum
     exact_var = poly_eval(pbell_poly(4, 1), x) - poly_eval(pbell_poly(2, 1), x) ** 2
     exact_band = 4 * math.sqrt(exact_var) / math.sqrt(samples)
     assert check.tolerance == pytest.approx(exact_band, rel=0.05)
