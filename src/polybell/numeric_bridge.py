@@ -424,8 +424,8 @@ def mgf_check(p: int, t: float, samples: int, rng: RngStream) -> NumericCheck:
     alongside (keys ``shifted_form`` / ``shifted_form_abs_error``); it
     coincides with f_p(t) only at p = 1.
     """
-    if p < 1 or samples < 1:
-        raise ValueError(f"need p >= 1 and samples >= 1; got {p}, {samples}")
+    if p < 1 or samples < 1 or not math.isfinite(t):
+        raise ValueError(f"need p >= 1, samples >= 1 and a finite t; got {p}, {samples}, {t}")
     w = math.expm1(min(t, 709.0))  # both forms are inf well before e^t - 1 overflows
     target, shifted = hyp1f1(1.0, p + 1.0, w), hyp1f1(float(p), p + 1.0, w)
     if not math.isfinite(target + shifted):

@@ -342,6 +342,8 @@ def test_numeric_mgf_past_the_float_range_exits_2(capsys):
     assert code == 2 and out == ""
     assert "float range" in err and "t <= 6.5755" in err
     assert "Infinity" not in err and "NaN" not in err
+    code, out, err = run_cli(capsys, "numeric", "mgf", "--p", "1", "--t=-inf", "--samples", "10")
+    assert code == 2 and out == "" and "finite t" in err
 
 
 def test_numeric_cesaro_and_pmf(capsys):
