@@ -16,10 +16,12 @@ pure function of the sample count, independent of any parallelism.
 
 The beta-Poisson sampler draws lambda ~ Beta(1, p) by inverse CDF
 (lambda = 1 - u^{1/p}, always in [0, 1]) and then Z ~ Poisson(lambda) by
-inversion, which needs one uniform per draw since lambda <= 1.  It returns
-the histogram of Z, which takes a dozen or so small values: chunk histograms
-are added as integers, and each reduction is exact over the distinct values
-(a rational sum for ``mc``, ``math.fsum`` for ``mgf``), rounded once.
+inversion, which needs one uniform per draw since lambda <= 1.  It works in
+cache-sized blocks, each computing its uniforms from their counter offsets,
+which changes no output.  It returns the histogram of Z, which takes a dozen
+or so small values: chunk histograms are added as integers, and each
+reduction is exact over the distinct values (a rational sum for ``mc``,
+``math.fsum`` for ``mgf``), rounded once.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN_SPLIT = 0xC2B2AE3D27D4EB4F
 _CHUNK = 1 << 19
+_BLOCK = 1 << 14  # draws per block of beta_poisson_batch: its arrays stay in L2 cache
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -105,6 +108,20 @@ _NP_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_M2 = np.uint64(0x94D049BB133111EB)
 
 
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs ``start + 1 .. start + count`` of the stream with this seed."""
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)  # the SplitMix64 steps, in place on one array
+    x += np.uint64(seed)
+    x ^= x >> np.uint64(30)
+    x *= _NP_M1
+    x ^= x >> np.uint64(27)
+    x *= _NP_M2
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    return x.astype(np.float64) * 2.0**-53
+
+
 class RngStream:
     """Deterministic, splittable uniform stream (see module docstring)."""
 
@@ -120,20 +137,8 @@ class RngStream:
         """The next ``count`` doubles in [0, 1), advancing the stream."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        x = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
         self._pos += count
-        x *= np.uint64(_GOLDEN)  # the SplitMix64 steps, in place on one array
-        x += np.uint64(self.seed)
-        x ^= x >> np.uint64(30)
-        x *= _NP_M1
-        x ^= x >> np.uint64(27)
-        x *= _NP_M2
-        x ^= x >> np.uint64(31)
-        x >>= np.uint64(11)
-        return x.astype(np.float64) * 2.0**-53
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+        return _uniforms(self.seed, self._pos - count, count)
 
     def split(self, index: int) -> "RngStream":
         """Child stream ``index``, disjoint from this stream and its siblings."""
@@ -363,25 +368,29 @@ def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
     inverse CDF, the rest drive Poisson inversion.  Each round keeps only the
     draws whose cdf is still at most their uniform, so the draws kept after
     round k are those with Z >= k; a stopped draw never restarts, so the kept
-    ones see the same float ops as when every draw is updated each round."""
+    ones see the same float ops as when every draw is updated each round.
+    Blocks of ``_BLOCK`` draws take their uniforms by stream position."""
     if p < 1 or count < 0:
         raise ValueError(f"need p >= 1 and count >= 0, got p={p}, count={count}")
-    u = rng.uniforms(2 * count)
-    lam = 1.0 - u[:count] ** (1.0 / p)
-    u_z = u[count:]
-    pmf = cdf = np.exp(-lam)
-    at_least = []  # at_least[k]: draws with Z >= k
-    k = 0
-    while u_z.size:
-        if k > 200:
-            raise RuntimeError("Poisson inversion runaway; lambda should be <= 1")
-        at_least.append(u_z.size)
-        keep = np.flatnonzero(u_z >= cdf)
-        lam, pmf, cdf, u_z = lam[keep], pmf[keep], cdf[keep], u_z[keep]
-        k += 1
-        pmf *= lam / k
-        cdf += pmf
-    tails = np.array(at_least + [0], dtype=np.int64)
+    pos = rng._pos
+    rng._pos += 2 * count
+    at_least = np.zeros(202, dtype=np.int64)  # at_least[k]: draws with Z >= k (k <= 200)
+    for lo in range(0, count, _BLOCK):
+        size = min(_BLOCK, count - lo)
+        lam = 1.0 - _uniforms(rng.seed, pos + lo, size) ** (1.0 / p)
+        u_z = _uniforms(rng.seed, pos + count + lo, size)
+        pmf = cdf = np.exp(-lam)
+        k = 0
+        while u_z.size:
+            if k > 200:
+                raise RuntimeError("Poisson inversion runaway; lambda should be <= 1")
+            at_least[k] += u_z.size
+            keep = np.flatnonzero(u_z >= cdf)
+            lam, pmf, cdf, u_z = lam[keep], pmf[keep], cdf[keep], u_z[keep]
+            k += 1
+            pmf *= lam / k
+            cdf += pmf
+    tails = at_least[: np.count_nonzero(at_least) + 1]
     return tails[:-1] - tails[1:]
 
 
@@ -418,7 +427,9 @@ def mc_moment_check(
 def mgf_check(p: int, t: float, samples: int, rng: RngStream) -> NumericCheck:
     """Monte Carlo check of E[e^{tZ}] against the closed form f_p(t) =
     1F1(1; p+1; e^t - 1).  A closed form past the float range (p = 1:
-    t > 6.5755) raises ValueError before any sampling.
+    t > 6.5755) raises ValueError before any sampling, and so does a request
+    whose exact 4-sigma band is at least f_p(t): f_p(2t)/f_p(t)^2 >= 1 + N/16,
+    tested in logs (for t > 0, log f_p(2t) from the positive series).
 
     The one-parameter-shifted variant 1F1(p; p+1; e^t - 1) is recorded
     alongside (keys ``shifted_form`` / ``shifted_form_abs_error``); it
@@ -431,6 +442,15 @@ def mgf_check(p: int, t: float, samples: int, rng: RngStream) -> NumericCheck:
     if not math.isfinite(target + shifted):
         msg = f"f_{p}({t}) or its shifted form is past the float range (1.8e308); "
         raise ValueError(msg + "for p = 1 the limit is t <= 6.5755")
+    if t > 0:
+        log_f2 = _log_f_real(2 * t, p)[0]
+    else:
+        log_f2 = math.log(hyp1f1(1.0, p + 1.0, math.expm1(2 * t)))
+    excess = log_f2 - 2 * math.log(target)  # log(1 + Var/mean^2)
+    if excess >= math.log1p(samples / 16):
+        need = 16 * math.expm1(excess) if excess < 700 else math.inf
+        msg = f"the 4-sigma band of f_{p}({t}) is at least the target; it needs more than "
+        raise ValueError(msg + f"{need:.3g} samples")
     counts = _chunked_histogram(p, samples, rng)
     values = [math.exp(t * k) for k in range(len(counts))]
     mean = math.fsum(c * v for c, v in zip(counts, values)) / samples
@@ -447,20 +467,26 @@ def pmf_check(p: int, k: int, samples: int, rng: RngStream) -> NumericCheck:
                  = p!/(e (p+k)!) 1F1(p; p+k+1; 1),
 
     i.e. the beta-mixture integral p int_0^1 (1-t)^{p-1} t^k e^{-t}/k! dt done
-    exactly.  The tolerance is the 3-sigma binomial half-width.  A variant
-    without the beta normalization, p/(e k! (p+k)) 1F1(1; p+k+1; 1), is
-    recorded alongside (keys ``unnormalized_form`` / ..._abs_error); it
-    coincides with the true pmf only at p = 1.
+    exactly.  The tolerance is the 3-sigma binomial half-width at the exact
+    target pi; where it is at least pi (N <= 9 (1-pi)/pi) it raises ValueError
+    before any sampling.  A variant without the beta normalization,
+    p/(e k! (p+k)) 1F1(1; p+k+1; 1), is recorded alongside (keys
+    ``unnormalized_form`` / ..._abs_error); it coincides with the true pmf
+    only at p = 1.
     """
     if p < 1 or k < 0 or samples < 1:
         raise ValueError(f"need p >= 1, k >= 0, samples >= 1; got {p}, {k}, {samples}")
+    target = factorial(p) / factorial(p + k) * hyp1f1(k + 1.0, p + k + 1.0, -1.0)
+    if samples * target <= 9 * (1 - target):
+        need = 9 * (1 - target) / target if target else math.inf
+        msg = f"the 3-sigma band of P(Z = {k}) = {target:.3g} is at least the target; it needs "
+        raise ValueError(msg + f"more than {need:.3g} samples")
     counts = _chunked_histogram(p, samples, rng)
     empirical = counts[k] / samples if k < len(counts) else 0.0
-    sigma = math.sqrt(max(empirical * (1.0 - empirical), 1e-300) / samples)
-    target = factorial(p) / factorial(p + k) * hyp1f1(k + 1.0, p + k + 1.0, -1.0)
     unnormalized = p / (math.e * factorial(k) * (p + k)) * hyp1f1(1.0, p + k + 1.0, 1.0)
     extra = {
         "unnormalized_form": unnormalized,
         "unnormalized_form_abs_error": abs(empirical - unnormalized),
     }
-    return NumericCheck(empirical, target, abs(empirical - target), 3.0 * sigma, samples, extra)
+    tolerance = 3.0 * math.sqrt(target * (1.0 - target) / samples)
+    return NumericCheck(empirical, target, abs(empirical - target), tolerance, samples, extra)

@@ -346,6 +346,25 @@ def test_numeric_mgf_past_the_float_range_exits_2(capsys):
     assert code == 2 and out == "" and "finite t" in err
 
 
+def test_numeric_mgf_with_a_band_wider_than_the_target_exits_2(capsys):
+    # E[e^{5Z}] at p = 1 is 7.1e61, carried by draws no 200,000 samples reach
+    code, out, err = run_cli(
+        capsys, "numeric", "mgf", "--p", "1", "--t", "5", "--samples", "200000"
+    )
+    assert code == 2 and out == "" and "at least the target" in err
+    code, out, err = run_cli(capsys, "numeric", "mgf", "--p", "1", "--t", "2", "--samples", "2000")
+    assert code == 2 and out == "" and "more than 6.53e+18 samples" in err
+
+
+def test_numeric_pmf_with_a_band_wider_than_the_target_exits_2(capsys):
+    # P(Z = 10) at p = 1 is 1.0e-8; 1000 samples give a band of 9.5e-6
+    code, out, err = run_cli(
+        capsys, "numeric", "pmf", "--p", "1", "--k", "10", "--samples", "1000"
+    )
+    assert code == 2 and out == ""
+    assert "at least the target" in err and "more than 8.96e+08 samples" in err
+
+
 def test_numeric_cesaro_and_pmf(capsys):
     code, out, _ = run_cli(capsys, "numeric", "cesaro", "--n", "3", "--p", "2", "--tol", "1e-5")
     assert code == 0 and json.loads(out)["passed"] is True

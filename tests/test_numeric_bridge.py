@@ -1,6 +1,9 @@
 import json
 import math
+import re
 from fractions import Fraction
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -358,11 +361,11 @@ def test_beta_poisson_batch_counts_are_nonnegative_ints():
         beta_poisson_batch(1, -1, RngStream(5))
 
 
-def _reference_beta_poisson(p, count, seed):
+def _reference_beta_poisson(p, count, seed, start=0):
     """Beta-Poisson draws with every draw updated each round of the
     inversion: the reference for the sampler that keeps only active draws."""
-    u_lambda = _reference_uniforms(seed, 0, count)
-    u_z = _reference_uniforms(seed, count, count)
+    u_lambda = _reference_uniforms(seed, start, count)
+    u_z = _reference_uniforms(seed, start + count, count)
     lam = 1.0 - u_lambda ** (1.0 / p)
     pmf = np.exp(-lam)
     cdf = pmf.copy()
@@ -379,14 +382,38 @@ def _reference_beta_poisson(p, count, seed):
 
 
 def test_beta_poisson_batch_draws_are_unchanged():
+    block = nb._BLOCK
     for seed in (3, 2024, 2**63 + 11):
         for p in range(1, 7):
-            for count in (0, 1, 200_000):
+            for count in (0, 1, block - 1, block, block + 1, 3 * block + 7, 200_000):
                 rng = RngStream(seed)
                 got = beta_poisson_batch(p, count, rng)
                 want = np.bincount(_reference_beta_poisson(p, count, seed))
                 assert np.array_equal(got, want), (seed, p, count)
                 assert np.array_equal(rng.uniforms(3), _reference_uniforms(seed, 2 * count, 3))
+
+
+def test_beta_poisson_batch_draws_from_the_stream_position():
+    # a batch on a stream already advanced takes its uniforms from there on
+    count = nb._BLOCK + 5
+    rng = RngStream(77)
+    rng.uniforms(13)
+    got = beta_poisson_batch(3, count, rng)
+    assert np.array_equal(got, np.bincount(_reference_beta_poisson(3, count, 77, start=13)))
+    assert np.array_equal(rng.uniforms(2), _reference_uniforms(77, 13 + 2 * count, 2))
+
+
+@pytest.mark.parametrize("chunk", [nb._CHUNK, 2 * nb._BLOCK + 5])
+def test_chunked_histogram_is_exact_across_chunks(monkeypatch, chunk):
+    # the real chunk is a whole number of blocks; the shorter one puts a
+    # partial block at the end of both chunks
+    monkeypatch.setattr(nb, "_CHUNK", chunk)
+    p, seed, tail = 2, 31, nb._BLOCK + 3
+    split = RngStream(seed).split
+    draws = np.concatenate(
+        [_reference_beta_poisson(p, chunk, split(0).seed), _reference_beta_poisson(p, tail, split(1).seed)]
+    )
+    assert nb._chunked_histogram(p, chunk + tail, RngStream(seed)) == np.bincount(draws).tolist()
 
 
 def test_beta_poisson_batch_mean_tracks_first_moment():
@@ -488,6 +515,34 @@ def test_pmf_alternate_form_fails_beyond_p_one():
     assert abs(check.extra["unnormalized_form"] - 0.5285) < 5e-4
     assert check.extra["unnormalized_form_abs_error"] > 100 * check.tolerance
     assert check.passed
+
+
+def test_vacuous_bands_are_rejected_before_sampling(monkeypatch):
+    # the exact mgf band is at least the target iff N <= 16 (f_p(2t)/f_p(t)^2 - 1),
+    # the pmf band iff N <= 9 (1 - pi)/pi; the thresholds come from mpmath
+    def sample(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(nb, "_chunked_histogram", sample)
+    for p, t in ((1, 0.3), (1, 1.0), (3, 1.5)):
+        f = lambda s: mpmath.hyp1f1(1, p + 1, mpmath.expm1(s))
+        need = float(16 * (f(2 * t) / f(t) ** 2 - 1))
+        with pytest.raises(ValueError, match=re.escape(f"more than {need:.3g} samples")):
+            mgf_check(p, t, math.floor(need), RngStream(0))
+        with pytest.raises(AssertionError, match="sampled"):
+            mgf_check(p, t, math.floor(need) + 1, RngStream(0))
+    for p, k in ((1, 3), (2, 5)):
+        pi = mpmath.factorial(p) / mpmath.factorial(p + k) * mpmath.hyp1f1(k + 1, p + k + 1, -1)
+        need = float(9 * (1 - pi) / pi)
+        with pytest.raises(ValueError, match=re.escape(f"more than {need:.3g} samples")):
+            pmf_check(p, k, math.floor(need), RngStream(0))
+        with pytest.raises(AssertionError, match="sampled"):
+            pmf_check(p, k, math.floor(need) + 1, RngStream(0))
+
+
+def test_pmf_band_is_the_exact_binomial_band():
+    check = pmf_check(2, 1, 100_000, RngStream(6))
+    assert check.tolerance == 3.0 * math.sqrt(check.target * (1.0 - check.target) / 100_000)
 
 
 def test_numeric_check_json_round_trip():
