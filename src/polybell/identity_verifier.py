@@ -66,7 +66,8 @@ from .exact_core import (
     format_rational,
     poly_eval,
 )
-from .pbell import DEFAULT_BACKEND, PBellBackend, pbell_column, pbell_egf, pbell_number, pbell_poly, pbell_ramanujan_p1
+from .numeric_bridge import hyp1f1, lower_inc_gamma
+from .pbell import pbell_column, pbell_egf, pbell_poly, pbell_ramanujan_p1
 from .polybell import iterated_integral_pbell, polybell_neg, polybell_neg_row
 from .special_numbers import bell_poly, r_stirling2, stirling1
 
@@ -181,19 +182,15 @@ def _ladder(base: EgfSeries, w: EgfSeries, top: int) -> list[EgfSeries]:
     return out
 
 
-def verify_egf_definition(
-    p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_egf_definition(p: int, order: int) -> CheckReport:
     """Compare the (e^z-1)-composition route against backend values."""
     outer = [Fraction(1, comb(k + p, p) * factorial(k)) for k in range(order + 1)]
     lhs = egf_compose_em1(outer, order)
-    rhs = pbell_egf(p, order, backend)
+    rhs = pbell_egf(p, order)
     return _series_report("egf-definition", {"p": p, "order": order}, lhs, rhs)
 
 
-def verify_closed_forms(
-    p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_closed_forms(p: int, order: int) -> CheckReport:
     """Denominator-cleared closed form, plus the displayed quotients for p <= 3."""
     if p < 1:
         raise ValueError("the closed form needs p >= 1")
@@ -201,7 +198,7 @@ def verify_closed_forms(
     w = egf_em1(order)
     w_pow = [egf_constant(1, order), *_ladder(w, w, p - 1)]
     exp_w = egf_exp(w)
-    f = pbell_egf(p, order, backend)
+    f = pbell_egf(p, order)
     lhs = egf_mul(w_pow[p], f)
     rhs = exp_w.scale(factorial(p))
     for k in range(1, p + 1):
@@ -224,33 +221,27 @@ def verify_closed_forms(
     return report
 
 
-def verify_step_recurrence(
-    p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_step_recurrence(p: int, order: int) -> CheckReport:
     """(e^z - 1) f_p = p (f_{p-1} - 1)."""
     if p < 1:
         raise ValueError("the step recurrence needs p >= 1")
     w = egf_em1(order)
-    lhs = egf_mul(w, pbell_egf(p, order, backend))
-    rhs = (pbell_egf(p - 1, order, backend) - 1).scale(p)
+    lhs = egf_mul(w, pbell_egf(p, order))
+    rhs = (pbell_egf(p - 1, order) - 1).scale(p)
     return _series_report("egf-step-recurrence", {"p": p, "order": order}, lhs, rhs)
 
 
-def verify_three_term_contiguous(
-    p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_three_term_contiguous(p: int, order: int) -> CheckReport:
     """f_p = (1 + w/(p+1)) f_{p+1} - (w/(p+2)) f_{p+2} with w = e^z - 1."""
     w = egf_em1(order)
-    f1 = pbell_egf(p + 1, order, backend)
-    f2 = pbell_egf(p + 2, order, backend)
-    lhs = pbell_egf(p, order, backend)
+    f1 = pbell_egf(p + 1, order)
+    f2 = pbell_egf(p + 2, order)
+    lhs = pbell_egf(p, order)
     rhs = f1 + egf_mul(w, f1).scale(Fraction(1, p + 1)) - egf_mul(w, f2).scale(Fraction(1, p + 2))
     return _series_report("egf-three-term", {"p": p, "order": order}, lhs, rhs)
 
 
-def verify_double_egf_pbell(
-    z_order: int, y_order: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_double_egf_pbell(z_order: int, y_order: int) -> CheckReport:
     """Cleared double EGF: (e^z-1-y) S(z,y) = (e^z-1) exp(e^z-1) - y e^y.
 
     S(z,y) = sum_{n,p} B_{n,p} z^n/n! y^p/p!; slices are indexed by the
@@ -259,7 +250,7 @@ def verify_double_egf_pbell(
     """
     params = {"z_order": z_order, "y_order": y_order}
     w = egf_em1(z_order)
-    slices = [pbell_egf(q, z_order, backend) for q in range(y_order + 1)]
+    slices = [pbell_egf(q, z_order) for q in range(y_order + 1)]
     lhs, rhs = [], []
     for q in range(y_order + 1):
         left = egf_mul(w, slices[q])
@@ -286,9 +277,7 @@ def verify_double_egf_polybell(z_order: int, y_order: int) -> CheckReport:
     return _bivariate_report("double-egf-polybell", params, lhs, rhs)
 
 
-def verify_derivative_operator_form(
-    p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_derivative_operator_form(p: int, order: int) -> CheckReport:
     """f_p = (-1)^{p-1} p exp(e^z-1) (e^{-z} d/dz)^{p-1} [(1-exp(1-e^z))/(e^z-1)].
 
     Each application of e^{-z} d/dz costs one order of truncation, so the
@@ -309,30 +298,25 @@ def verify_derivative_operator_form(
     for _ in range(p - 1):
         g = egf_mul(e_minus_z, egf_derivative(g))
     operator_side = egf_mul(egf_exp(w), g).scale(Fraction((-1) ** (p - 1) * p))
-    f = pbell_egf(p, operator_side.order, backend)
+    f = pbell_egf(p, operator_side.order)
     return _series_report("egf-derivative-operator", params, f, operator_side)
 
 
-def verify_incomplete_gamma_form(
-    p: int,
-    order: int,
-    z0: Fraction = Fraction(1, 2),
-    backend: PBellBackend = DEFAULT_BACKEND,
-) -> CheckReport:
+def verify_incomplete_gamma_form(p: int, order: int) -> CheckReport:
     """Lower-incomplete-gamma representation of f_p, in two layers.
 
     Symbolic layer: substitute the closed form
     gamma(p, w) = (p-1)! (1 - e^{-w} sum_{j<p} w^j/j!) (integer p) into
     f_p = p e^w w^{-p} gamma(p, w) and compare the cleared identity exactly.
-    Numeric layer: evaluate both sides as floats at z = z0.
+    Numeric layer: evaluate both sides as floats at z = 1/2.
     """
     if p < 1:
         raise ValueError("the incomplete-gamma form needs p >= 1")
-    params = {"p": p, "order": order, "z0": _fmt(z0)}
+    params = {"p": p, "order": order, "z0": "1/2"}
     w = egf_em1(order)
     w_pow = [egf_constant(1, order), *_ladder(w, w, p - 1)]
     exp_w = egf_exp(w)
-    f = pbell_egf(p, order, backend)
+    f = pbell_egf(p, order)
     lhs = egf_mul(w_pow[p], f)
     partial_sum = egf_constant(0, order)
     for j in range(p):
@@ -344,23 +328,19 @@ def verify_incomplete_gamma_form(
     report = _series_report("incomplete-gamma-form", params, lhs, rhs)
     if not report.passed:
         return report
-    from .numeric_bridge import hyp1f1, lower_inc_gamma
-
-    w0 = expm1(float(z0))
+    w0 = expm1(0.5)
     series_side = hyp1f1(1.0, p + 1.0, w0)
     gamma_side = p * exp(w0) / w0**p * lower_inc_gamma(p, w0)
     if abs(series_side - gamma_side) > 1e-10:
         detail = (
-            f"float spot check at z0={_fmt(z0)}: series form {series_side!r} vs "
+            f"float spot check at z0=1/2: series form {series_side!r} vs "
             f"gamma form {gamma_side!r}"
         )
         return CheckReport("incomplete-gamma-form", params, "fail", detail)
     return report
 
 
-def verify_column_recurrence(
-    n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_column_recurrence(n_max: int, p_max: int) -> CheckReport:
     """The cross-column convolution implied by the three-term relation:
 
     B_{n+1,p+1} = B_{n+1,p} - sum_{k=0}^{n} C(n+1,k)
@@ -373,7 +353,7 @@ def verify_column_recurrence(
     sides are compared as integers over den = lcm(D_p, (p+1) D_{p+1}, (p+2) D_{p+2}).
     """
     params = {"n_max": n_max, "p_max": p_max}
-    cols = [_over_lcm(pbell_column(n_max + 1, q, backend)) for q in range(p_max + 3)]
+    cols = [_over_lcm(pbell_column(n_max + 1, q)) for q in range(p_max + 3)]
 
     def cases():
         for p in range(p_max + 1):
@@ -389,16 +369,14 @@ def verify_column_recurrence(
     return _cleared_report("cross-column-recurrence", params, cases())
 
 
-def verify_stirling_transform(
-    n_max: int, m_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_stirling_transform(n_max: int, m_max: int, p_max: int) -> CheckReport:
     """sum_{k<=m} s(m,k) B_{n+k,p} = sum_{k<=n} {n+m,k+m}_m C(m+k+p,p)^{-1}.
 
     Column p is taken as integer numerators over one denominator D_p, and both
     sides are compared as integers over den = lcm(D_p, C(j+p,p) for all j).
     """
     params = {"n_max": n_max, "m_max": m_max, "p_max": p_max}
-    cols = [_over_lcm(pbell_column(n_max + m_max, q, backend)) for q in range(p_max + 1)]
+    cols = [_over_lcm(pbell_column(n_max + m_max, q)) for q in range(p_max + 1)]
 
     def cases():
         for p, (b, dp) in enumerate(cols):
@@ -415,9 +393,7 @@ def verify_stirling_transform(
     return _cleared_report("stirling-transform", params, cases())
 
 
-def verify_poly_recurrence(
-    n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_poly_recurrence(n_max: int, p_max: int) -> CheckReport:
     """B_{n+1,p}(x) = x B_{n,p}(x) - sum_k C(n,k) ((p/(p+1)) B_{k,p+1}(x)
     - B_{k,p}(x)), compared coefficient-by-coefficient."""
     params = {"n_max": n_max, "p_max": p_max}
@@ -425,8 +401,8 @@ def verify_poly_recurrence(
 
     def cases():
         for p in range(p_max + 1):
-            polys_p = [pbell_poly(n, p, backend) for n in range(n_max + 2)]
-            polys_p1 = [pbell_poly(n, p + 1, backend) for n in range(n_max + 1)]
+            polys_p = [pbell_poly(n, p) for n in range(n_max + 2)]
+            polys_p1 = [pbell_poly(n, p + 1) for n in range(n_max + 1)]
             for n in range(n_max + 1):
                 lhs = polys_p[n + 1]
                 acc = x * polys_p[n]
@@ -438,20 +414,18 @@ def verify_poly_recurrence(
     return _pointwise_report("poly-recurrence", params, cases())
 
 
-def verify_ramanujan_form(n_max: int, backend: PBellBackend = DEFAULT_BACKEND) -> CheckReport:
+def verify_ramanujan_form(n_max: int) -> CheckReport:
     """Ramanujan's Bernoulli form of the p = 1 column against the backend."""
     params = {"n_max": n_max}
-    col = pbell_column(n_max, 1, backend)
+    col = pbell_column(n_max, 1)
     cases = ((f"n={n}", pbell_ramanujan_p1(n), col[n]) for n in range(n_max + 1))
     return _pointwise_report("ramanujan-p1", params, cases)
 
 
-def verify_iterated_integral(
-    n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND
-) -> CheckReport:
+def verify_iterated_integral(n_max: int, p_max: int) -> CheckReport:
     """B_{n,p} as p! times the p-fold antiderivative of phi_n at 1."""
     params = {"n_max": n_max, "p_max": p_max}
-    cols = {q: pbell_column(n_max, q, backend) for q in range(p_max + 1)}
+    cols = {q: pbell_column(n_max, q) for q in range(p_max + 1)}
     cases = (
         (f"n={n}, p={p}", iterated_integral_pbell(n, p), cols[p][n])
         for p in range(p_max + 1)

@@ -58,6 +58,7 @@ _GOLDEN_SPLIT = 0xC2B2AE3D27D4EB4F
 _CHUNK = 1 << 19
 _BLOCK = 1 << 14  # draws per block of beta_poisson_batch: its arrays stay in L2 cache
 _U = 2.0**-53  # unit roundoff of float64
+_HYP_TOL = 1e-15  # hyp1f1 stops at a term this far below the sum
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class RngStream:
         return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r}, pos={self._pos})"
 
 
-def hyp1f1(a: float, b: float, z: float, tol: float = 1e-15) -> float:
+def hyp1f1(a: float, b: float, z: float) -> float:
     """Kummer's confluent hypergeometric 1F1(a; b; z) by direct summation.
 
     The Dobinski and pmf checks use z = -1 and z = 1; the MGF check uses
@@ -164,7 +165,7 @@ def hyp1f1(a: float, b: float, z: float, tol: float = 1e-15) -> float:
     for k in range(10_000):
         term *= (a + k) / (b + k) * z / (k + 1)
         total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
+        if abs(term) <= _HYP_TOL * max(1.0, abs(total)):
             return total
     raise RuntimeError(f"1F1({a}; {b}; {z}) did not converge in 10^4 terms; partial={total!r}")
 
@@ -196,6 +197,24 @@ def lower_inc_gamma(s: float, x: float) -> float:
     raise RuntimeError(f"gamma({s}, {x}) series did not converge in 10^4 terms; partial={total!r}")
 
 
+def _dobinski(n: int, p: int, x: Fraction, target: Fraction, tol: float) -> NumericCheck:
+    """The Dobinski series of B_{n,p}(x), each weight rounded once from its exact value.
+    From k = max(n, 1) - min(x, 0) on, x + k >= n: each weight is <= e/(p+k+1) times the last."""
+    a, b = x.as_integer_ratio()
+    total = size = 0.0
+    for k in range(1000):
+        weight = float(Fraction((a + k * b) ** n, b**n * factorial(k) * comb(p + k, k)))
+        term = weight * hyp1f1(k + 1, p + k + 1, -1.0)
+        total += term
+        size += abs(term)
+        if abs(weight) < tol * 1e-3 and k >= max(n, 1) - min(x, 0):
+            break
+    else:
+        raise RuntimeError(f"Dobinski series ({n}, {p}, {float(x)}) did not settle in 1000 terms")
+    tolerance = max(tol, (k + 1) * _U * size)
+    return NumericCheck(total, target, abs(total - float(target)), tolerance, k + 1)
+
+
 def dobinski_pbell(n: int, p: int, tol: float = 1e-9) -> NumericCheck:
     """Dobinski-type series for B_{n,p}:
 
@@ -210,19 +229,7 @@ def dobinski_pbell(n: int, p: int, tol: float = 1e-9) -> NumericCheck:
     """
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
-    total = 0.0
-    terms = 0
-    for k in range(500):
-        weight = float(Fraction(k**n, factorial(k) * comb(p + k, k)))
-        total += weight * hyp1f1(k + 1, p + k + 1, -1.0)
-        terms = k + 1
-        if k >= max(n, 1) and weight < tol * 1e-3:
-            break
-    else:
-        raise RuntimeError(f"Dobinski series for ({n}, {p}) did not settle in 500 terms")
-    target = pbell_number(n, p)
-    tolerance = max(tol, terms * 2**-53 * total)
-    return NumericCheck(total, target, abs(total - float(target)), tolerance, terms)
+    return _dobinski(n, p, Fraction(0), pbell_number(n, p), tol)
 
 
 def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e-9) -> NumericCheck:
@@ -239,23 +246,7 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
     x_exact = Fraction(x) if isinstance(x, float) else rational(x)
-    xf = float(x_exact)
-    total = size = 0.0
-    terms = 0
-    settle_after = n + 4 + int(abs(xf))
-    for k in range(1000):
-        weight = float(Fraction(1, factorial(k) * comb(p + k, k)))
-        term = weight * (xf + k) ** n * hyp1f1(k + 1, p + k + 1, -1.0)
-        total += term
-        size += abs(term)
-        terms = k + 1
-        if k >= settle_after and abs(term) < tol * 1e-3:
-            break
-    else:
-        raise RuntimeError(f"Dobinski series for ({n}, {p}, {xf}) did not settle in 1000 terms")
-    target = poly_eval(pbell_poly(n, p), x_exact)
-    tolerance = max(tol, terms * 2**-53 * size)
-    return NumericCheck(total, target, abs(total - float(target)), tolerance, terms)
+    return _dobinski(n, p, x_exact, poly_eval(pbell_poly(n, p), x_exact), tol)
 
 
 def _series_terms(w: float) -> int:

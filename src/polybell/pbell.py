@@ -34,6 +34,7 @@ from math import comb
 from typing import Callable
 
 from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
+from .special_numbers import _check_indices
 from .special_numbers import bell_number, bernoulli, gen_bernoulli, stirling2, weighted_stirling_poly
 
 __all__ = [
@@ -72,14 +73,9 @@ class BackendMismatch(Exception):
         super().__init__(f"backends disagree at (n={n}, p={p}): {body}")
 
 
-def _check_np(n: int, p: int) -> None:
-    if n < 0 or p < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, p={p}")
-
-
 def pbell_explicit(n: int, p: int) -> Fraction:
     """B_{n,p} = sum_k C(k+p,k)^{-1} {n,k}."""
-    _check_np(n, p)
+    _check_indices(n, p)
     return sum(
         (Fraction(1, comb(k + p, k)) * stirling2(n, k) for k in range(n + 1)),
         Fraction(0),
@@ -114,7 +110,7 @@ def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
 
 
 def pbell_recurrence(n: int, p: int) -> Fraction:
-    _check_np(n, p)
+    _check_indices(n, p)
     return _recurrence_table(n, p)[n]
 
 
@@ -139,14 +135,14 @@ def _z_rows(n_max: int, p: int, every_row: bool = True) -> list[Fraction]:
 
 
 def pbell_z_triangle(n: int, p: int) -> Fraction:
-    _check_np(n, p)
+    _check_indices(n, p)
     return _z_rows(n, p, every_row=False)[-1]
 
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:
     """B_{n,p} = C(n+p,p)^{-1} sum_{k=0}^{n+p} C(n+p,k) phi_{n+p-k} B_k^(p)
                  - sum_{k=1}^{p} C(n+k,k)^{-1} C(p,k) B_{n+k}^(k)."""
-    _check_np(n, p)
+    _check_indices(n, p)
     head = sum(
         comb(n + p, k) * bell_number(n + p - k) * gen_bernoulli(k, p) for k in range(n + p + 1)
     ) / comb(n + p, p)
@@ -175,7 +171,7 @@ def pbell_number(
     With ``cross_check`` every backend is evaluated and any disagreement
     raises :class:`BackendMismatch` carrying all computed values.
     """
-    _check_np(n, p)
+    _check_indices(n, p)
     if not cross_check:
         return _BACKEND_FN[backend](n, p)
     values = {b.value: fn(n, p) for b, fn in _BACKEND_FN.items()}
@@ -187,7 +183,7 @@ def pbell_number(
 def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[Fraction]:
     """[B_{0,p}, ..., B_{n_max,p}], using a single sweep where the backend
     naturally produces whole columns."""
-    _check_np(n_max, p)
+    _check_indices(n_max, p)
     if backend is PBellBackend.Z_TRIANGLE:
         return _z_rows(n_max, p)
     if backend is PBellBackend.DERIVATIVE_RECURRENCE:
@@ -204,8 +200,7 @@ def pbell_egf(p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND) -> Eg
 def pbell_ramanujan_p1(n: int) -> Fraction:
     """Ramanujan's Bernoulli-number form of the p = 1 column:
     B_{n,1} = sum_k C(n,k) phi_{k+1} B_{n-k} / (k+1)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got n={n}")
+    _check_indices(n, 0)
     return sum(
         (
             Fraction(comb(n, k), k + 1) * bell_number(k + 1) * bernoulli(n - k)
@@ -217,7 +212,7 @@ def pbell_ramanujan_p1(n: int) -> Fraction:
 
 def pbell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polynomial:
     """B_{n,p}(x) = sum_k C(n,k) B_{k,p} x^{n-k} (monic, constant term B_{n,p})."""
-    _check_np(n, p)
+    _check_indices(n, p)
     column = pbell_column(n, p, backend)
     return Polynomial([comb(n, d) * column[n - d] for d in range(n + 1)])
 
@@ -225,7 +220,7 @@ def pbell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polyn
 def pbell_poly_weighted(n: int, p: int, x: RationalLike) -> Fraction:
     """B_{n,p}(x) summed through weighted Stirling polynomials:
     sum_k C(k+p,k)^{-1} S_n^k(x)."""
-    _check_np(n, p)
+    _check_indices(n, p)
     xv = rational(x)
     return sum(
         (
@@ -239,7 +234,7 @@ def pbell_poly_weighted(n: int, p: int, x: RationalLike) -> Fraction:
 def zpoly_triangle(n: int, p: int, x: RationalLike) -> Fraction:
     """B_{n,p}(x) by the polynomial triangle
     Z_{n+1,m}(x) = (m+1)/(m+p+1) Z_{n,m+1}(x) + (m+x) Z_{n,m}(x), Z_{0,m} = 1."""
-    _check_np(n, p)
+    _check_indices(n, p)
     xv = rational(x)
     row = [Fraction(1)] * (n + 1)
     for _ in range(n):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exact_core import Polynomial, poly_eval
-from .pbell import DEFAULT_BACKEND, PBellBackend, _check_np, pbell_number, pbell_poly
-from .special_numbers import bell_number, bell_poly, stirling2, stirling2_row
+from .pbell import DEFAULT_BACKEND, PBellBackend, pbell_number, pbell_poly
+from .special_numbers import _check_indices, bell_number, bell_poly, stirling2, stirling2_row
 
 __all__ = [
     "polybell_pos",
@@ -36,19 +36,19 @@ __all__ = [
 
 def polybell_pos(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Fraction:
     """B_n^(p) = B_{n,p}/p! for p >= 0."""
-    _check_np(n, p)
+    _check_indices(n, p)
     return pbell_number(n, p, backend) / factorial(p)
 
 
 def polybell_neg(n: int, p: int) -> int:
     """B_n^(-p) = sum_{k >= p} k!/(k-p)! {n,k}."""
-    _check_np(n, p)
+    _check_indices(n, p)
     return sum(perm(k, p) * s for k, s in enumerate(stirling2_row(n)))
 
 
 def polybell_neg_row(n: int, p_max: int) -> list[int]:
     """[B_n^(0), B_n^(-1), ..., B_n^(-p_max)] from one read of Stirling row n."""
-    _check_np(n, p_max)
+    _check_indices(n, p_max)
     terms = stirling2_row(n)  # term k of order p is k!/(k-p)! {n,k}, zero for k < p
     out = []
     for p in range(p_max + 1):
@@ -59,20 +59,19 @@ def polybell_neg_row(n: int, p_max: int) -> list[int]:
 
 def polybell_neg_derivative(n: int, p: int) -> int:
     """The derivative form B_n^(-p) = p! sum_j C(n,j) {j,p} phi_{n-j}."""
-    _check_np(n, p)
+    _check_indices(n, p)
     return factorial(p) * sum(comb(n, j) * stirling2(j, p) * bell_number(n - j) for j in range(p, n + 1))
 
 
 def polybell_neg_row_poly(n: int) -> Polynomial:
     """The row polynomial sum_p B_n^(-p) y^p/p!, which equals phi_n(1 + y)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got n={n}")
+    _check_indices(n, 0)
     return Polynomial([Fraction(v, factorial(p)) for p, v in enumerate(polybell_neg_row(n, n))])
 
 
 def polybell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polynomial:
     """The poly-Bell polynomial B_n^(p)(x) = B_{n,p}(x)/p!."""
-    _check_np(n, p)
+    _check_indices(n, p)
     return pbell_poly(n, p, backend) * Fraction(1, factorial(p))
 
 
@@ -94,7 +93,7 @@ def duality_counterexample() -> tuple[int, int, int, int]:
 def iterated_integral_pbell(n: int, p: int) -> Fraction:
     """B_{n,p} as p! times the p-fold antiderivative of phi_n evaluated at 1
     (all integration constants zero)."""
-    _check_np(n, p)
+    _check_indices(n, p)
     poly = bell_poly(n)
     for _ in range(p):
         poly = poly.antiderivative()

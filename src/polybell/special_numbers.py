@@ -227,8 +227,7 @@ def _genbern_step(alpha: int):
 def gen_bernoulli(n: int, alpha: int) -> Fraction:
     """Higher-order Bernoulli number B_n^(alpha), coefficient of z^n/n! in
     (z/(e^z - 1))^alpha, built by repeated binomial convolution."""
-    if n < 0 or alpha < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, alpha={alpha}")
+    _check_indices(n, alpha)
     if alpha == 0:
         return Fraction(1) if n == 0 else Fraction(0)
     hit = CACHE.get((_genbern_tag(alpha), n, 0))

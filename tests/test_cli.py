@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from polybell.cli import build_parser, main, render_table
-from polybell.exact_core import format_rational, parse_rational
+from polybell.exact_core import format_rational, parse_rational, poly_eval
+from polybell.pbell import pbell_poly
 from polybell.special_numbers import CACHE
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -302,6 +303,19 @@ def test_numeric_dobinski_json_line(capsys):
     assert doc["target"] == "5/6"
     assert doc["passed"] is True
     assert doc["abs_error"] <= doc["tolerance"]
+
+
+def test_numeric_dobinski_poly_settles_at_a_large_point(capsys):
+    # the series settles once x + k >= n, so x = 1000 needs a few dozen terms,
+    # not the 1000 + n the old rule waited for; x far below -1000 still exits 2
+    args = ("numeric", "dobinski-poly", "--n", "3", "--p", "2", "--x")
+    code, out, _ = run_cli(capsys, *args, "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["samples_or_terms"] < 100
+    assert parse_rational(doc["target"]) == poly_eval(pbell_poly(3, 2), 1000)
+    code, _, err = run_cli(capsys, *args, "-2000")
+    assert code == 2 and "did not settle in 1000 terms" in err
 
 
 def test_numeric_mc_reference(capsys):

@@ -111,8 +111,8 @@ def test_planted_column_cell_is_reported_in_lowest_terms(monkeypatch, check, det
     # must name the same first case, with reduced values, as the Fraction sums did
     real = identity_verifier.pbell_column
 
-    def planted(n, p, backend=identity_verifier.DEFAULT_BACKEND):
-        col = list(real(n, p, backend))
+    def planted(n, p):
+        col = list(real(n, p))
         if p == 2 and n >= 5:
             col[5] += Fraction(1, 7)
         return col

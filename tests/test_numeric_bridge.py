@@ -159,6 +159,22 @@ def test_dobinski_poly_small_grid_keeps_absolute_tolerance():
                 assert check.tolerance == 1e-9 and check.passed, (n, p, x)
 
 
+def test_dobinski_number_is_the_polynomial_series_at_zero():
+    # one series serves both checks: at x = 0 every float operation is the same
+    for n in range(31):
+        for p in range(1, 7):
+            number, poly = dobinski_pbell(n, p), dobinski_pbell_poly(n, p, 0)
+            assert number.to_json_dict() == poly.to_json_dict(), (n, p)
+
+
+def test_dobinski_poly_weights_do_not_overflow_inside_the_float_range():
+    # (x+k)^n passes the float range from k ~ 110 here, but each weight is rounded
+    # once from its exact value, which is small by then
+    check = dobinski_pbell_poly(150, 3, Fraction(7, 2))
+    assert check.passed, (check.abs_error, check.tolerance)
+    assert check.abs_error <= 1e-15 * float(check.target)
+
+
 def test_dobinski_validates_input():
     with pytest.raises(ValueError):
         dobinski_pbell(3, 0)
