@@ -63,7 +63,6 @@ from .exact_core import (
     egf_exp,
     egf_exp_rz,
     egf_mul,
-    format_rational,
     poly_eval,
 )
 from .numeric_bridge import hyp1f1, lower_inc_gamma
@@ -121,18 +120,12 @@ class CheckReport:
         )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
-
-
 def _series_report(identity_id: str, params: dict, lhs: EgfSeries, rhs: EgfSeries) -> CheckReport:
     idx = lhs.first_difference(rhs)
     if idx is None:
         return CheckReport(identity_id, params)
     detail = (
-        f"first difference at n={idx}: lhs={_fmt(lhs.coeffs[idx])}, rhs={_fmt(rhs.coeffs[idx])}"
+        f"first difference at n={idx}: lhs={lhs.coeffs[idx]}, rhs={rhs.coeffs[idx]}"
     )
     return CheckReport(identity_id, params, "fail", detail)
 
@@ -148,7 +141,7 @@ def _bivariate_report(
         if idx is not None:
             detail = (
                 f"first difference at (n={idx}, p={q}): "
-                f"lhs={_fmt(ls.coeffs[idx])}, rhs={_fmt(rs.coeffs[idx])}"
+                f"lhs={ls.coeffs[idx]}, rhs={rs.coeffs[idx]}"
             )
             return CheckReport(identity_id, params, "fail", detail)
     return CheckReport(identity_id, params)
@@ -157,7 +150,7 @@ def _bivariate_report(
 def _pointwise_report(identity_id: str, params: dict, cases: Iterable[tuple[str, object, object]]) -> CheckReport:
     for label, lhs, rhs in cases:
         if lhs != rhs:
-            detail = f"first failing case at ({label}): lhs={_fmt(lhs)}, rhs={_fmt(rhs)}"
+            detail = f"first failing case at ({label}): lhs={lhs}, rhs={rhs}"
             return CheckReport(identity_id, params, "fail", detail)
     return CheckReport(identity_id, params)
 

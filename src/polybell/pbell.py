@@ -30,11 +30,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, perm
+from operator import mul
 from typing import Callable
 
 from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
-from .special_numbers import _check_indices
+from .special_numbers import CACHE, _check_indices
 from .special_numbers import bell_number, bernoulli, gen_bernoulli, stirling2, weighted_stirling_poly
 
 __all__ = [
@@ -94,7 +96,6 @@ def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
     Each B_{r,p} = V_{r,p} / ((r+p)!/p!) is reduced once.
     """
     rows = [[1] * (n_max + 1)]
-    out, den = [Fraction(1)], 1
     for r in range(n_max):
         signed = [comb(r, k) * (-1) ** (r - k) for k in range(r - 1)]
         prev, row = rows[r], []
@@ -104,9 +105,13 @@ def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
                 h = h * (k + 1 + c) + a * rows[k + 1][j]
             row.append((r + 1 + c) * ((r + 1) * prev[j] - (r + c) * h) - c * prev[j + 1])
         rows.append(row)
-        den *= r + 1 + p
-        out.append(Fraction(row[0], den))
-    return out
+    return _from_numerators([row[0] for row in rows], p)
+
+
+def _from_numerators(column: list[int], p: int) -> list[Fraction]:
+    """[B_{r,p}] from the integers B_{r,p} (r+p)!/p!, over a running denominator."""
+    dens = accumulate(range(p + 1, p + len(column)), mul, initial=1)
+    return [Fraction(w, den) for w, den in zip(column, dens)]
 
 
 def pbell_recurrence(n: int, p: int) -> Fraction:
@@ -114,29 +119,29 @@ def pbell_recurrence(n: int, p: int) -> Fraction:
     return _recurrence_table(n, p)[n]
 
 
-def _z_rows(n_max: int, p: int, every_row: bool = True) -> list[Fraction]:
-    """[Z_{0,0}, ..., Z_{n_max,0}] for the triangle at order p, i.e. the
-    whole p-column of B in one O(n_max^2) sweep; without ``every_row`` only
-    rows 0 and n_max are reduced and returned.
+def _z_rows(n_max: int, p: int) -> list[int]:
+    """[W_{0,0}, ..., W_{n_max,0}] for the triangle at order p: the p-column
+    of B as the integers W_{n,0} = B_{n,p} (n+p)!/p!, kept as rows n of the
+    tag ``bell:p`` of the shared cache.  A call past the stored rows sweeps
+    again from row 0 in O(n_max^2); ``put`` keeps the rows already stored.
 
     The sweep is fraction-free: W_{n,m} = Z_{n,m} (m+n+p)!/(m+p)! is an
     integer with W_{0,m} = 1 and
-    W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m},
-    so B_{n,p} = W_{n,0} / ((n+p)!/p!) is reduced once per row.
+    W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}.
     """
-    row = [1] * (n_max + 1)
-    out, den = [Fraction(1)], 1
-    for n in range(n_max):
-        row = [(m + 1) * row[m + 1] + m * (m + n + p + 1) * row[m] for m in range(len(row) - 1)]
-        den *= n + p + 1
-        if every_row or n + 1 == n_max:
-            out.append(Fraction(row[0], den))
+    tag = f"bell:{p}"
+    if (tag, n_max, 0) in CACHE:
+        return [CACHE.get((tag, n, 0)) for n in range(n_max + 1)]
+    row, out = [1] * (n_max + 1), []
+    for n in range(n_max + 1):
+        out += CACHE.put((tag, n), (row[0],))
+        row = [(m + 1) * row[m + 1] + m * (m + n + p + 1) * row[m] for m in range(n_max - n)]
     return out
 
 
 def pbell_z_triangle(n: int, p: int) -> Fraction:
     _check_indices(n, p)
-    return _z_rows(n, p, every_row=False)[-1]
+    return Fraction(CACHE.get((f"bell:{p}", n, 0)) or _z_rows(n, p)[n], perm(n + p, n))
 
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:
@@ -185,7 +190,7 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
     naturally produces whole columns."""
     _check_indices(n_max, p)
     if backend is PBellBackend.Z_TRIANGLE:
-        return _z_rows(n_max, p)
+        return _from_numerators(_z_rows(n_max, p), p)
     if backend is PBellBackend.DERIVATIVE_RECURRENCE:
         return _recurrence_table(n_max, p)
     fn = _BACKEND_FN[backend]

@@ -5,6 +5,7 @@ relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
 Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
 ``int``s, the Bernoulli families exact ``Fraction``s; all are memoized in one
 shared write-once cache, one tuple per row, built by ``TriangleCache.fill_rows``.
+Row n of tag ``bell:p`` is ``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
 
 Conventions
 -----------
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exact_core import Polynomial, RationalLike, poly_eval, rational
+from .exact_core import Polynomial, poly_eval
 
 __all__ = [
     "TriangleCache",
@@ -97,7 +98,8 @@ class TriangleCache:
         """Test hook: overwrite cell (tag, r, c).  A stored row is replaced
         by a copy holding the value, and rows already built keep theirs; a
         row not yet built takes the value when ``fill_rows`` builds it, so
-        it feeds the rows built after it."""
+        it feeds the rows built after it.  Rows stored by ``put`` alone, such
+        as ``bell:p``, never take a value planted before they were built."""
         tag, r, c = key
         row = self._store.get((tag, r))
         if row is None:

@@ -84,6 +84,15 @@ def test_value_cross_check_failure_exits_one(capsys):
     assert "cross-check failed" in err and "explicit" in err
 
 
+def test_value_cross_check_catches_a_poisoned_triangle_row(capsys):
+    argv = ("value", "--kind", "pbell", "--n", "6", "--p", "2")
+    assert run_cli(capsys, *argv)[:2] == (0, "235/12\n")
+    CACHE.force(("bell:2", 6, 0), 1)
+    code, _, err = run_cli(capsys, *argv, "--cross-check")
+    assert code == 1
+    assert "cross-check failed" in err and "ztriangle=1/20160" in err
+
+
 def test_value_polybell_cross_check_names_every_backend(capsys):
     CACHE.force(("s2", 6, 3), Fraction(91))
     code, _, err = run_cli(

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -22,7 +23,7 @@ from polybell.pbell import (
     pbell_z_triangle,
     zpoly_triangle,
 )
-from polybell.special_numbers import CACHE, bell_number, bell_poly, stirling2
+from polybell.special_numbers import CACHE, bell_number, bell_poly, reset_cache, stirling2
 
 # the 7x4 reference matrix (columns p = 0..3, rows n = 0..6)
 REFERENCE_MATRIX = {
@@ -182,8 +183,73 @@ def test_integer_recurrence_matches_fraction_reference():
 def test_integer_recurrence_matches_triangle_and_explicit():
     for p in range(13):
         column = _recurrence_table(60, p)
-        assert column == _z_rows(60, p), p
+        assert column == pbell_column(60, p), p
         assert column == [pbell_explicit(n, p) for n in range(61)], p
+
+
+def test_cached_triangle_columns_match_explicit_and_a_fresh_sweep():
+    # single values in shuffled order leave each order's column stored up to
+    # a different row; every value read back from those rows must be exact
+    rng = random.Random(14)
+    cells = [(n, p) for n in range(0, 201, 9) for p in range(13)]
+    rng.shuffle(cells)
+    cells = cells[:60]
+    top: dict[int, int] = {}
+    for n, p in cells:
+        value = pbell_z_triangle(n, p)
+        assert value == pbell_explicit(n, p), (n, p)
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+        top[p] = max(top.get(p, 0), n)
+    stored = {p: pbell_column(n, p) for p, n in top.items()}
+    reset_cache()
+    for p, n in top.items():
+        assert stored[p] == pbell_column(n, p), p
+        assert all(gcd(c.numerator, c.denominator) == 1 for c in stored[p])
+
+
+def test_triangle_call_inside_the_stored_prefix_does_not_sweep(monkeypatch):
+    stored = _z_rows(50, 3)
+    expected = [pbell_explicit(n, 3) for n in range(51)]  # fills the Stirling rows first
+    puts = []
+    monkeypatch.setattr(CACHE, "put", lambda key, row: puts.append(key))
+    assert _z_rows(30, 3) == stored[:31]
+    assert pbell_z_triangle(30, 3) == expected[30]
+    assert pbell_column(50, 3) == expected
+    assert puts == []
+
+
+def test_longer_triangle_call_keeps_the_stored_rows():
+    short = _z_rows(20, 2)
+    CACHE.force(("bell:2", 10, 0), 7)  # a stored row: a re-sweep must not replace it
+    longer = _z_rows(40, 2)
+    assert longer[10] == 7 and CACHE.get(("bell:2", 10, 0)) == 7
+    assert longer[:10] + longer[11:21] == short[:10] + short[11:]
+    assert pbell_column(40, 2)[21:] == [pbell_explicit(n, 2) for n in range(21, 41)]
+
+
+def test_reset_cache_drops_the_triangle_columns():
+    for p in range(4):
+        pbell_column(25, p)
+    assert all(("bell:%d" % p, n, 0) in CACHE for p in range(4) for n in range(26))
+    reset_cache()
+    assert not any(("bell:%d" % p, n, 0) in CACHE for p in range(4) for n in range(26))
+    assert len(CACHE) == 0
+
+
+def test_cross_check_detects_a_poisoned_triangle_row():
+    assert pbell_number(6, 2) == Fraction(235, 12)
+    CACHE.force(("bell:2", 6, 0), 1)  # W_{6,0} = B_{6,2} 8!/2! is 3948
+    with pytest.raises(BackendMismatch) as exc_info:
+        pbell_number(6, 2, cross_check=True)
+    values = exc_info.value.values
+    assert values["ztriangle"] == Fraction(1, 20160)
+    assert values["explicit"] == values["recurrence"] == values["genbernoulli"] == Fraction(235, 12)
+
+
+def test_cell_planted_before_its_triangle_column_is_never_applied():
+    CACHE.force(("bell:2", 6, 0), 1)
+    assert pbell_number(6, 2, cross_check=True) == Fraction(235, 12)
+    assert pbell_column(6, 2)[6] == Fraction(235, 12)
 
 
 def test_recurrence_reads_no_cache():
