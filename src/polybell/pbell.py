@@ -130,8 +130,9 @@ def _z_rows(n_max: int, p: int) -> list[int]:
     W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}.
     """
     tag = f"bell:{p}"
-    if (tag, n_max, 0) in CACHE:
-        return [CACHE.get((tag, n, 0)) for n in range(n_max + 1)]
+    stored = CACHE.rows(tag)
+    if n_max < len(stored):
+        return [stored[n][0] for n in range(n_max + 1)]
     row, out = [1] * (n_max + 1), []
     for n in range(n_max + 1):
         out += CACHE.put((tag, n), (row[0],))
@@ -197,9 +198,9 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
     return [fn(r, p) for r in range(n_max + 1)]
 
 
-def pbell_egf(p: int, order: int, backend: PBellBackend = DEFAULT_BACKEND) -> EgfSeries:
+def pbell_egf(p: int, order: int) -> EgfSeries:
     """The truncated EGF f_p(z) with exact coefficients B_{n,p}."""
-    return EgfSeries(pbell_column(order, p, backend))
+    return EgfSeries(pbell_column(order, p))
 
 
 def pbell_ramanujan_p1(n: int) -> Fraction:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exact_core import Polynomial, poly_eval
-from .pbell import DEFAULT_BACKEND, PBellBackend, pbell_number, pbell_poly
+from .pbell import pbell_number, pbell_poly
 from .special_numbers import _check_indices, bell_number, bell_poly, stirling2, stirling2_row
 
 __all__ = [
@@ -34,10 +34,10 @@ __all__ = [
 ]
 
 
-def polybell_pos(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Fraction:
+def polybell_pos(n: int, p: int) -> Fraction:
     """B_n^(p) = B_{n,p}/p! for p >= 0."""
     _check_indices(n, p)
-    return pbell_number(n, p, backend) / factorial(p)
+    return pbell_number(n, p) / factorial(p)
 
 
 def polybell_neg(n: int, p: int) -> int:
@@ -69,10 +69,10 @@ def polybell_neg_row_poly(n: int) -> Polynomial:
     return Polynomial([Fraction(v, factorial(p)) for p, v in enumerate(polybell_neg_row(n, n))])
 
 
-def polybell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polynomial:
+def polybell_poly(n: int, p: int) -> Polynomial:
     """The poly-Bell polynomial B_n^(p)(x) = B_{n,p}(x)/p!."""
     _check_indices(n, p)
-    return pbell_poly(n, p, backend) * Fraction(1, factorial(p))
+    return pbell_poly(n, p) * Fraction(1, factorial(p))
 
 
 def duality_counterexample() -> tuple[int, int, int, int]:

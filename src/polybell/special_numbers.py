@@ -4,8 +4,10 @@ Stirling numbers of both kinds, their r-shifted and weighted-polynomial
 relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
 Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
 ``int``s, the Bernoulli families exact ``Fraction``s; all are memoized in one
-shared write-once cache, one tuple per row, built by ``TriangleCache.fill_rows``.
-Row n of tag ``bell:p`` is ``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
+shared write-once cache that maps each tag to a map from row index to row tuple,
+filled in row order by ``TriangleCache.fill_rows``; a reader of many cells takes
+the tag's map once through ``rows(tag)``.  Row n of tag ``bell:p`` is
+``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
 
 Conventions
 -----------
@@ -50,10 +52,12 @@ __all__ = [
 
 
 class TriangleCache:
-    """Write-once memo for triangular families, one tuple per (tag, row).
+    """Write-once memo for triangular families: one map per tag from row
+    index to row tuple, filled in row order, so the rows held are 0..len-1.
 
     ``put((tag, r), row)`` stores a whole row; ``get((tag, r, c))`` and
-    ``key in cache`` read one cell of a stored row.  There is no lock: every
+    ``key in cache`` read one cell of a stored row, and ``rows(tag)`` hands
+    out the tag's map for readers of many cells.  There is no lock: every
     read and write is one dict operation, which is atomic in CPython, and
     ``put`` is ``dict.setdefault``, so two threads racing on the same row
     still observe the same tuple.  ``force`` exists for fault injection in
@@ -61,38 +65,39 @@ class TriangleCache:
     """
 
     def __init__(self) -> None:
-        self._store: dict[tuple, tuple] = {}
-        self._rows: dict[str, int] = {}
+        self._tags: dict[str, dict[int, tuple]] = {}
         self._planted: dict[tuple, dict[int, object]] = {}
+
+    def rows(self, tag: str) -> dict[int, tuple]:
+        """The live row map of ``tag``; empty until a row is stored."""
+        return self._tags.setdefault(tag, {})
 
     def get(self, key: tuple):
         tag, r, c = key
-        row = self._store.get((tag, r), ())
+        row = self.rows(tag).get(r, ())
         return row[c] if c < len(row) else None
 
     def put(self, key: tuple, row: tuple) -> tuple:
-        return self._store.setdefault(key, row)
+        return self.rows(key[0]).setdefault(key[1], row)
 
     def fill_rows(self, tag: str, n_max: int, step) -> tuple:
         """Build rows 0..n_max of ``tag``, row r as ``step(tag, r, row r-1)``
         (row -1 is ``()``), and return row n_max.
 
-        A fill resumes after the last row it recorded as complete.  Cells
-        that ``force`` parked for a row not yet built replace the computed
-        ones before the row is stored, so they feed every later row; ``put``
-        keeps the first row stored.  A racing fill may record a lower count,
-        which only costs a redundant refill; ``clear`` must not race a fill.
+        A fill resumes at the first row not stored, so a stored row is
+        returned without calling ``step``.  Cells that ``force`` parked for a
+        row not yet built replace the computed ones before the row is stored,
+        so they feed every later row; ``put`` keeps the first row stored.
+        ``clear`` must not race a fill.
         """
-        start = self._rows.get(tag, 0)
-        row = self._store.get((tag, start - 1), ())
-        for r in range(start, n_max + 1):
-            row = step(tag, r, row)
+        rows = self.rows(tag)
+        for r in range(len(rows), n_max + 1):
+            row = step(tag, r, rows.get(r - 1, ()))
             planted = self._planted.pop((tag, r), None)
             if planted:
                 row = tuple(planted.get(c, v) for c, v in enumerate(row))
-            row = self.put((tag, r), row)
-            self._rows[tag] = r + 1
-        return self._store[(tag, n_max)]
+            self.put((tag, r), row)
+        return rows[n_max]
 
     def force(self, key: tuple, value) -> None:
         """Test hook: overwrite cell (tag, r, c).  A stored row is replaced
@@ -101,23 +106,22 @@ class TriangleCache:
         it feeds the rows built after it.  Rows stored by ``put`` alone, such
         as ``bell:p``, never take a value planted before they were built."""
         tag, r, c = key
-        row = self._store.get((tag, r))
-        if row is None:
-            self._planted.setdefault((tag, r), {})[c] = value
+        rows = self.rows(tag)
+        if r in rows:
+            rows[r] = rows[r][:c] + (value,) + rows[r][c + 1 :]
         else:
-            self._store[(tag, r)] = row[:c] + (value,) + row[c + 1 :]
+            self._planted.setdefault((tag, r), {})[c] = value
 
     def clear(self) -> None:
-        self._store.clear()
-        self._rows.clear()
+        self._tags.clear()
         self._planted.clear()
 
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(map(len, self._tags.values()))
 
     def __contains__(self, key: tuple) -> bool:
         tag, r, c = key
-        return c < len(self._store.get((tag, r), ()))
+        return c < len(self.rows(tag).get(r, ()))
 
 
 CACHE = TriangleCache()
@@ -137,12 +141,6 @@ def _check_indices(n: int, k: int) -> None:
         raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
 
 
-def _cell(tag: str, n: int, k: int, step):
-    """Cell (n, k) of ``tag``: one cache read on a hit, else fill rows 0..n."""
-    hit = CACHE.get((tag, n, k))
-    return CACHE.fill_rows(tag, n, step)[k] if hit is None else hit
-
-
 def _r_step(shift: int):
     """Row step of T(r, c) = (c + shift) T(r-1, c) + T(r-1, c-1), T(0, c) = [c = 0]."""
     return lambda tag, r, prev: (
@@ -158,7 +156,7 @@ _s2_step = _r_step(0)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind {n, k}."""
     _check_indices(n, k)
-    return 0 if k > n else _cell(_S2, n, k, _s2_step)
+    return 0 if k > n else CACHE.fill_rows(_S2, n, _s2_step)[k]
 
 
 def stirling2_row(n: int) -> list[int]:
@@ -175,7 +173,7 @@ def _s1_step(tag: str, r: int, prev: tuple) -> tuple:
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     _check_indices(n, k)
-    return 0 if k > n else _cell(_S1, n, k, _s1_step)
+    return 0 if k > n else CACHE.fill_rows(_S1, n, _s1_step)[k]
 
 
 def r_stirling2(n: int, k: int, r: int) -> int:
@@ -183,7 +181,7 @@ def r_stirling2(n: int, k: int, r: int) -> int:
     _check_indices(n, k)
     if r < 0:
         raise ValueError(f"shift must be nonnegative, got r={r}")
-    return 0 if k > n else _cell(f"s2r:{r}", n, k, _r_step(r))
+    return 0 if k > n else CACHE.fill_rows(f"s2r:{r}", n, _r_step(r))[k]
 
 
 def weighted_stirling_poly(n: int, k: int) -> Polynomial:
@@ -203,13 +201,14 @@ def whitney2(n: int, k: int, m: int, r: int) -> Fraction:
 def _bern_step(tag: str, m: int, prev: tuple) -> tuple:
     if m == 0:
         return (Fraction(1),)
-    return (-sum(comb(m + 1, j) * CACHE.get((tag, j, 0)) for j in range(m)) / (m + 1),)
+    b = CACHE.rows(tag)
+    return (-sum(comb(m + 1, j) * b[j][0] for j in range(m)) / (m + 1),)
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention)."""
     _check_indices(n, 0)
-    return _cell(_BERN, n, 0, _bern_step)
+    return CACHE.fill_rows(_BERN, n, _bern_step)[0]
 
 
 def _genbern_tag(alpha: int) -> str:
@@ -218,12 +217,10 @@ def _genbern_tag(alpha: int) -> str:
 
 
 def _genbern_step(alpha: int):
-    """Row step of order alpha, the binomial convolution of order alpha-1
-    with the Bernoulli column."""
-    lower = _genbern_tag(alpha - 1)
-    return lambda tag, m, prev: (
-        sum(comb(m, j) * CACHE.get((_BERN, j, 0)) * CACHE.get((lower, m - j, 0)) for j in range(m + 1)),
-    )
+    """Row step of order alpha: the binomial convolution of order alpha-1
+    with the Bernoulli column, through row maps taken once per fill."""
+    b, low = CACHE.rows(_BERN), CACHE.rows(_genbern_tag(alpha - 1))
+    return lambda tag, m, prev: (sum(comb(m, j) * b[j][0] * low[m - j][0] for j in range(m + 1)),)
 
 
 def gen_bernoulli(n: int, alpha: int) -> Fraction:
@@ -232,9 +229,6 @@ def gen_bernoulli(n: int, alpha: int) -> Fraction:
     _check_indices(n, alpha)
     if alpha == 0:
         return Fraction(1) if n == 0 else Fraction(0)
-    hit = CACHE.get((_genbern_tag(alpha), n, 0))
-    if hit is not None:
-        return hit
     value = bernoulli(n)
     for a in range(2, alpha + 1):  # order a reads order a-1, already filled to row n
         (value,) = CACHE.fill_rows(_genbern_tag(a), n, _genbern_step(a))
@@ -254,4 +248,4 @@ def _bell_step(tag: str, r: int, prev: tuple) -> tuple:
 def bell_number(n: int) -> int:
     """Bell number phi_n = number of partitions of an n-set."""
     _check_indices(n, 0)
-    return _cell(_BELL, n, 0, _bell_step)
+    return CACHE.fill_rows(_BELL, n, _bell_step)[0]

@@ -143,7 +143,7 @@ def test_displayed_low_degree_forms_generic_p():
 
 
 def test_integer_triangle_column_matches_explicit():
-    # the fraction-free Z-triangle sweep is a cache-free route; check it
+    # the fraction-free Z-triangle sweep never reads the Stirling triangle; check it
     # against the Stirling sum cell by cell, and its single-value path too
     for p in range(13):
         column = pbell_column(40, p, PBellBackend.Z_TRIANGLE)

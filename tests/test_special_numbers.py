@@ -15,6 +15,7 @@ from polybell.exact_core import (
     egf_z,
     poly_eval,
 )
+from polybell.pbell import pbell_column
 from polybell.special_numbers import (
     CACHE,
     TriangleCache,
@@ -375,11 +376,27 @@ def test_cache_clear_forgets_complete_rows():
     def step(tag, r, prev):
         return tuple(10 * r + c for c in range(r + 1))
 
+    def boom(tag, r, prev):
+        raise AssertionError(f"row {r} of {tag} was built again")
+
     assert cache.fill_rows("t", 3, step) == (30, 31, 32, 33)
     assert len(cache) == 4 and cache.get(("t", 3, 2)) == 32
+    assert cache.fill_rows("t", 2, boom) == (20, 21, 22)  # a stored row calls no step
     cache.clear()
     assert cache.fill_rows("t", 1, step) == (10, 11)
     assert len(cache) == 2 and cache.get(("t", 0, 0)) == 0
+
+
+def test_stored_reads_make_no_per_cell_get(monkeypatch):
+    # a stored column or row is read whole through its row map, never cell by cell
+    calls = [lambda: pbell_column(60, 3), lambda: gen_bernoulli(40, 4), lambda: stirling2(30, 7)]
+    first = [call() for call in calls]
+
+    def no_get(self, key):
+        raise AssertionError(f"per-cell get of {key}")
+
+    monkeypatch.setattr(TriangleCache, "get", no_get)
+    assert [call() for call in calls] == first
 
 
 # ---------------------------------------------------------------------------
