@@ -184,7 +184,7 @@ def verify_egf_definition(p: int, order: int) -> CheckReport:
 
 
 def verify_closed_forms(p: int, order: int) -> CheckReport:
-    """Denominator-cleared closed form, plus the displayed quotients for p <= 3."""
+    """Denominator-cleared closed form, plus the displayed quotients for p <= min(3, order)."""
     if p < 1:
         raise ValueError("the closed form needs p >= 1")
     params = {"p": p, "order": order}
@@ -198,7 +198,7 @@ def verify_closed_forms(p: int, order: int) -> CheckReport:
         falling = factorial(p) // factorial(p - k)
         rhs = rhs - w_pow[p - k].scale(falling)
     report = _series_report("egf-closed-form", params, lhs, rhs)
-    if not report.passed or p > 3:
+    if not report.passed or p > 3 or order < p:
         return report
     if p == 1:
         quotient = egf_div(exp_w - 1, w)
@@ -505,6 +505,8 @@ def run_all(
 ) -> list[CheckReport]:
     """Run every identity check (or the named subset) and return the reports
     in a deterministic order."""
+    if min(n_max, p_max, order) < 0:
+        raise ValueError(f"bounds must be nonnegative, got n_max={n_max}, p_max={p_max}, order={order}")
     if only is not None:
         unknown = sorted(set(only) - set(IDENTITY_IDS))
         if unknown:

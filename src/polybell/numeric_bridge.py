@@ -197,9 +197,12 @@ def lower_inc_gamma(s: float, x: float) -> float:
     raise RuntimeError(f"gamma({s}, {x}) series did not converge in 10^4 terms; partial={total!r}")
 
 
-def _dobinski(n: int, p: int, x: Fraction, target: Fraction, tol: float) -> NumericCheck:
+def _dobinski(n: int, p: int, x: Fraction, tol: float) -> NumericCheck:
     """The Dobinski series of B_{n,p}(x), each weight rounded once from its exact value.
     From k = max(n, 1) - min(x, 0) on, x + k >= n: each weight is <= e/(p+k+1) times the last."""
+    if n < 0 or p < 1 or not 0 < tol < math.inf:
+        raise ValueError(f"need n >= 0, p >= 1 and a finite tol > 0; got n={n}, p={p}, tol={tol}")
+    target = poly_eval(pbell_poly(n, p), x) if x else pbell_number(n, p)
     a, b = x.as_integer_ratio()
     total = size = 0.0
     for k in range(1000):
@@ -222,14 +225,12 @@ def dobinski_pbell(n: int, p: int, tol: float = 1e-9) -> NumericCheck:
 
     The hypergeometric factor lies in (0, 1], so the tail is dominated by the
     classical Dobinski tail and the loop stops once the weight drops three
-    orders below ``tol``.  The terms are positive, so rounding leaves the sum
-    within about terms * 2^-53 * estimate (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3-4); the check passes within the larger of
-    that bound and ``tol``.
+    orders below ``tol`` (finite and positive).  The terms are positive, so
+    rounding leaves the sum within about terms * 2^-53 * estimate (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4); the check
+    passes within the larger of that bound and ``tol``.
     """
-    if n < 0 or p < 1:
-        raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
-    return _dobinski(n, p, Fraction(0), pbell_number(n, p), tol)
+    return _dobinski(n, p, Fraction(0), tol)
 
 
 def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e-9) -> NumericCheck:
@@ -243,10 +244,7 @@ def dobinski_pbell_poly(n: int, p: int, x: RationalLike | float, tol: float = 1e
     actually carries.  The check passes within the larger of ``tol`` and the
     rounding bound terms * 2^-53 * sum |term| (as in :func:`dobinski_pbell`).
     """
-    if n < 0 or p < 1:
-        raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
-    x_exact = Fraction(x) if isinstance(x, float) else rational(x)
-    return _dobinski(n, p, x_exact, poly_eval(pbell_poly(n, p), x_exact), tol)
+    return _dobinski(n, p, Fraction(x) if isinstance(x, float) else rational(x), tol)
 
 
 def _series_terms(w: float) -> int:
@@ -309,12 +307,12 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
       lgamma(n+1) - n log r + log|mean| is within 15 u Lambda, Lambda the sum
       of its three magnitudes; exp, the target's rounding and the difference
       add 4u, in all (16 Lambda + 8) u |estimate|.
-    The check passes within max(tol, rounding + aliasing).  A target past the
-    float range (p = 1: n >= 220) raises ValueError before any quadrature, and
-    so does a non-finite sum or a need for more than 2^16 nodes.
+    The check passes within max(tol, rounding + aliasing), tol finite and >= 0.
+    A target past the float range (p = 1: n >= 220) raises ValueError before any
+    quadrature, and so does a non-finite sum or a need for more than 2^16 nodes.
     """
-    if n < 1 or p < 1:
-        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if n < 1 or p < 1 or not 0 <= tol < math.inf:
+        raise ValueError(f"need n >= 1, p >= 1 and a finite tol >= 0; got n={n}, p={p}, tol={tol}")
     target = pbell_number(n, p)
     try:
         target_float = float(target)

@@ -18,7 +18,7 @@ Four independent computation routes are provided and cross-checked:
 * ``ztriangle``    -- the triangle Z_{n+1,m} = (m+1)/(m+p+1) Z_{n,m+1} + m Z_{n,m}
                       with Z_{0,m} = 1 and B_{n,p} = Z_{n,0} (the fast route);
 * ``genbernoulli`` -- a closed form through Bell numbers and higher-order
-                      Bernoulli numbers.
+                      Bernoulli numbers, swept in the order by Nörlund's recurrence.
 
 The p-Bell polynomial is the binomial transform
 B_{n,p}(x) = sum_k C(n,k) B_{k,p} x^{n-k}; it is monic of degree n with
@@ -36,8 +36,8 @@ from operator import mul
 from typing import Callable
 
 from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
-from .special_numbers import CACHE, _check_indices
-from .special_numbers import bell_number, bernoulli, gen_bernoulli, stirling2, weighted_stirling_poly
+from .special_numbers import CACHE, _check_indices, _gen_bernoulli_columns
+from .special_numbers import bell_number, bernoulli, stirling2, weighted_stirling_poly
 
 __all__ = [
     "PBellBackend",
@@ -147,15 +147,15 @@ def pbell_z_triangle(n: int, p: int) -> Fraction:
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:
     """B_{n,p} = C(n+p,p)^{-1} sum_{k=0}^{n+p} C(n+p,k) phi_{n+p-k} B_k^(p)
-                 - sum_{k=1}^{p} C(n+k,k)^{-1} C(p,k) B_{n+k}^(k)."""
+                 - sum_{k=1}^{p} C(n+k,k)^{-1} C(p,k) B_{n+k}^(k),
+    from one sweep of the orders 0..p over rows 0..n+p; the head is one integer."""
     _check_indices(n, p)
-    head = sum(
-        comb(n + p, k) * bell_number(n + p - k) * gen_bernoulli(k, p) for k in range(n + p + 1)
-    ) / comb(n + p, p)
-    tail = sum(
-        Fraction(comb(p, k), comb(n + k, k)) * gen_bernoulli(n + k, k) for k in range(1, p + 1)
-    )
-    return head - tail
+    tail = Fraction(0)
+    for k, (column, den) in enumerate(_gen_bernoulli_columns(n + p, p)):
+        if k:
+            tail += Fraction(comb(p, k) * column[n + k], comb(n + k, k) * den)
+    head = sum(comb(n + p, k) * bell_number(n + p - k) * c for k, c in enumerate(column))
+    return Fraction(head, comb(n + p, p) * den) - tail
 
 
 _BACKEND_FN: dict[PBellBackend, Callable[[int, int], Fraction]] = {

@@ -3,11 +3,11 @@
 Stirling numbers of both kinds, their r-shifted and weighted-polynomial
 relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
 Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
-``int``s, the Bernoulli families exact ``Fraction``s; all are memoized in one
-shared write-once cache that maps each tag to a map from row index to row tuple,
-filled in row order by ``TriangleCache.fill_rows``; a reader of many cells takes
-the tag's map once through ``rows(tag)``.  Row n of tag ``bell:p`` is
-``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
+``int``s, Bernoulli numbers exact ``Fraction``s, each memoized in one shared
+write-once cache mapping a tag to rows filled in order by ``fill_rows``; a
+reader of many cells takes the tag's map once through ``rows(tag)``.  Row n of
+tag ``bell:p`` is ``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
+Higher-order Bernoulli numbers are swept from the Bernoulli column, not stored.
 
 Conventions
 -----------
@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exact_core import Polynomial, poly_eval
+from .exact_core import Polynomial, _over_lcm, poly_eval
 
 __all__ = [
     "TriangleCache",
@@ -211,28 +211,27 @@ def bernoulli(n: int) -> Fraction:
     return CACHE.fill_rows(_BERN, n, _bern_step)[0]
 
 
-def _genbern_tag(alpha: int) -> str:
-    """One column per order; order 1 is the Bernoulli column itself."""
-    return _BERN if alpha == 1 else f"genbernoulli:{alpha}"
-
-
-def _genbern_step(alpha: int):
-    """Row step of order alpha: the binomial convolution of order alpha-1
-    with the Bernoulli column, through row maps taken once per fill."""
-    b, low = CACHE.rows(_BERN), CACHE.rows(_genbern_tag(alpha - 1))
-    return lambda tag, m, prev: (sum(comb(m, j) * b[j][0] * low[m - j][0] for j in range(m + 1)),)
+def _gen_bernoulli_columns(n_max: int, alpha: int):
+    """Yield (C, den) with B_m^(a) = C[m] / den, m <= n_max, for a = 0..alpha:
+    [1, 0, ...] over 1, the Bernoulli column over its lcm d, then by Nörlund's
+    (1924) recurrence in the order, B_m^(a+1) = (1 - m/a) B_m^(a) - m B_{m-1}^(a),
+    C_m^(a+1) = (a - m) C_m^(a) - a m C_{m-1}^(a) over a! d."""
+    yield [1] + [0] * n_max, 1
+    if alpha:
+        column, den = _over_lcm(map(bernoulli, range(n_max + 1)))
+        yield column, den
+        for a in range(1, alpha):
+            column = [(a - m) * c - a * m * low for m, (c, low) in enumerate(zip(column, [0] + column))]
+            den *= a
+            yield column, den
 
 
 def gen_bernoulli(n: int, alpha: int) -> Fraction:
     """Higher-order Bernoulli number B_n^(alpha), coefficient of z^n/n! in
-    (z/(e^z - 1))^alpha, built by repeated binomial convolution."""
+    (z/(e^z - 1))^alpha, by Nörlund's recurrence in the order."""
     _check_indices(n, alpha)
-    if alpha == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    value = bernoulli(n)
-    for a in range(2, alpha + 1):  # order a reads order a-1, already filled to row n
-        (value,) = CACHE.fill_rows(_genbern_tag(a), n, _genbern_step(a))
-    return value
+    *_, (column, den) = _gen_bernoulli_columns(n, alpha)
+    return Fraction(column[n], den)
 
 
 def bell_poly(n: int) -> Polynomial:

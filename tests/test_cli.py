@@ -292,6 +292,16 @@ def test_verify_unknown_id_exits_two(capsys):
     assert code == 2 and "not-an-id" in err
 
 
+def test_verify_low_order_and_negative_bounds(capsys):
+    assert run_cli(capsys, "verify", "--order", "0", "--pmax", "1")[0] == 0
+    code, out, _ = run_cli(capsys, "verify", "--order", "2", "--pmax", "3", "--only", "egf-closed-form")
+    assert code == 0 and out.endswith("3/3 identity checks passed\n")
+    # a negative p_max used to pass 8 checks vacuously
+    for flag in ("--nmax", "--pmax", "--order"):
+        code, out, err = run_cli(capsys, "verify", flag, "-1")
+        assert code == 2 and out == "" and "=-1" in err
+
+
 def test_verify_reports_failure_with_exit_one(capsys):
     CACHE.force(("s2", 6, 3), Fraction(91))
     code, out, _ = run_cli(capsys, "verify", "--nmax", "12", "--pmax", "5", "--order", "12")

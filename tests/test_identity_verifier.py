@@ -48,6 +48,22 @@ def test_unknown_id_raises_key_error():
         run_all(only=["no-such-check"])
 
 
+@pytest.mark.parametrize("order", range(4))
+def test_orders_below_p_max_pass(order):
+    # below order p the series w^p truncates to zero, so the displayed
+    # quotient of the closed form is skipped rather than divided by it
+    reports = run_all(0, 3, order)
+    assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize(
+    "bounds,bad", [((-1, 3, 4), "n_max=-1"), ((4, -1, 4), "p_max=-1"), ((4, 3, -1), "order=-1")]
+)
+def test_negative_bounds_are_rejected(bounds, bad):
+    with pytest.raises(ValueError, match=bad):
+        run_all(*bounds)
+
+
 def test_report_json_shape():
     (report,) = run_all(n_max=6, p_max=2, order=6, only=["iterated-integral"])
     doc = json.loads(report.to_json())

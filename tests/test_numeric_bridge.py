@@ -182,6 +182,32 @@ def test_dobinski_validates_input():
         dobinski_pbell_poly(-1, 1, 0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_tolerance_is_rejected_before_any_work(monkeypatch, tol):
+    # a nan tolerance fails every comparison, so it gave a false fail; a zero or
+    # negative one never stops the Dobinski series; 0 is a valid Cesaro tol
+    def no_work(*args):
+        raise AssertionError("the target was computed")
+
+    monkeypatch.setattr(nb, "pbell_number", no_work)
+    monkeypatch.setattr(nb, "pbell_poly", no_work)
+    for check in (lambda: dobinski_pbell(5, 1, tol), lambda: dobinski_pbell_poly(5, 1, 2, tol)):
+        with pytest.raises(ValueError, match=f"tol={tol}"):
+            check()
+    if tol != 0:
+        with pytest.raises(ValueError, match=f"tol={tol}"):
+            cesaro_pbell(5, 1, tol)
+
+
+def test_bad_tolerance_exits_two(capsys):
+    assert main(["numeric", "cesaro", "--n", "5", "--p", "1", "--tol", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol=nan" in captured.err
+    assert main(["numeric", "dobinski", "--n", "5", "--p", "1", "--tol", "0"]) == 2
+    assert main(["numeric", "dobinski-poly", "--n", "5", "--p", "1", "--x", "1", "--tol", "-1"]) == 2
+    assert "tol=-1.0" in capsys.readouterr().err
+
+
 def test_cesaro_reference_cases():
     for (n, p), tol in [((1, 1), 1e-6), ((2, 1), 1e-6), ((3, 2), 1e-5)]:
         check = cesaro_pbell(n, p, tol=tol)

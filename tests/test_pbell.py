@@ -280,6 +280,15 @@ def test_validation_errors():
         pbell_poly(3, -2)
 
 
+def test_gen_bernoulli_backend_matches_triangle_past_the_acceptance_grid():
+    # the acceptance grid stops at n = 25, p = 8; Nörlund's order sweep must
+    # hold to the last order and row it builds
+    for p in range(13):
+        column = pbell_column(120, p)
+        for n in range(0, 121, 8):
+            assert pbell_gen_bernoulli(n, p) == column[n], (n, p)
+
+
 def test_default_backend_is_triangle_sweep():
     assert DEFAULT_BACKEND is PBellBackend.Z_TRIANGLE
     assert pbell_z_triangle(6, 1) == Fraction(2057, 42)
