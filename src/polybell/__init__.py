@@ -50,6 +50,7 @@ from .pbell import (
     BackendMismatch,
     PBellBackend,
     pbell_column,
+    pbell_columns,
     pbell_egf,
     pbell_explicit,
     pbell_gen_bernoulli,
@@ -65,6 +66,7 @@ from .polybell import (
     duality_counterexample,
     iterated_integral_pbell,
     polybell_neg,
+    polybell_neg_columns,
     polybell_neg_derivative,
     polybell_neg_row_poly,
     polybell_poly,

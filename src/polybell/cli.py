@@ -33,8 +33,9 @@ from .numeric_bridge import (
     mgf_check,
     pmf_check,
 )
-from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, pbell_column, pbell_number
-from .polybell import polybell_neg, polybell_neg_derivative, polybell_neg_row
+from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, pbell_column, pbell_columns, pbell_number
+from .polybell import polybell_neg, polybell_neg_columns, polybell_neg_derivative
+from .special_numbers import reset_cache
 
 __all__ = ["main", "main_entry", "render_table"]
 
@@ -53,23 +54,6 @@ def _rational_or_float(text: str):
 # table rendering
 
 
-def _table_cells(kind: str, n_max: int, p_max: int, backend: PBellBackend):
-    """Yield (column label, [exact cell for n = 0..n_max]) per column."""
-    if kind == "pbell-numbers":
-        return [(str(p), pbell_column(n_max, p, backend)) for p in range(p_max + 1)]
-    if kind == "polybell-neg":
-        rows = [polybell_neg_row(n, p_max) for n in range(n_max + 1)]
-        return [(str(-p), [row[p] for row in rows]) for p in range(1, p_max + 1)]
-    if kind == "pbell-poly-coeffs":
-        # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}
-        column = pbell_column(n_max, p_max, backend)
-        return [
-            (str(k), [comb(n, k) * column[n - k] if k <= n else 0 for n in range(n_max + 1)])
-            for k in range(n_max + 1)
-        ]
-    raise ValueError(f"unknown table kind {kind!r}")
-
-
 def render_table(
     kind: str,
     n_max: int,
@@ -78,26 +62,31 @@ def render_table(
     fmt: str = "csv",
 ) -> str:
     """The full table as text (trailing newline included)."""
-    if n_max < 0 or p_max < 0:
-        raise ValueError(f"table bounds must be nonnegative, got {n_max}, {p_max}")
-    columns = _table_cells(kind, n_max, p_max, backend)
-    row_key = "n"
+    if n_max < 0 or p_max < (kind == "polybell-neg"):  # its columns are the orders -1..-p_max
+        raise ValueError(f"table bounds out of range for {kind}, got nmax={n_max}, pmax={p_max}")
+    if kind == "pbell-numbers":
+        labels, rows = range(p_max + 1), zip(*pbell_columns(n_max, p_max, backend))
+    elif kind == "polybell-neg":
+        labels, rows = range(-1, -p_max - 1, -1), zip(*polybell_neg_columns(n_max, p_max)[1:])
+    elif kind == "pbell-poly-coeffs":
+        # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}
+        column = pbell_column(n_max, p_max, backend)
+        labels = range(n_max + 1)
+        rows = ([comb(n, k) * column[n - k] if k <= n else 0 for k in labels] for n in labels)
+    else:
+        raise ValueError(f"unknown table kind {kind!r}")
     col_key = "k" if kind == "pbell-poly-coeffs" else "p"
     if fmt == "csv":
-        lines = [f"{row_key}\\{col_key}," + ",".join(label for label, _ in columns)]
-        for n in range(n_max + 1):
-            lines.append(
-                f"{n}," + ",".join(format_rational(cells[n]) for _, cells in columns)
-            )
+        lines = [f"n\\{col_key}," + ",".join(map(str, labels))]
+        lines += (f"{n}," + ",".join(map(format_rational, row)) for n, row in enumerate(rows))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        rows = []
-        for n in range(n_max + 1):
-            for label, cells in columns:
-                rows.append(
-                    {row_key: n, col_key: int(label), "value": format_rational(cells[n])}
-                )
-        return json.dumps(rows) + "\n"
+        cells = [
+            {"n": n, col_key: label, "value": format_rational(value)}
+            for n, row in enumerate(rows)
+            for label, value in zip(labels, row)
+        ]
+        return json.dumps(cells) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -222,35 +211,23 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         print("bench: --repeat must be >= 1", file=sys.stderr)
         return 2
-    p_values = list(range(args.pmax + 1)) if args.pmax is not None else [args.p]
-
-    from .special_numbers import reset_cache
-
     print("backend,nmax,p,repeat,seconds,peak_bits")
-    reference: dict[int, list[Fraction]] = {}
-    failures = 0
+    columns = []
     for backend in backends:
-        for p in p_values:
-            for rep in range(args.repeat):
-                reset_cache()
-                start = time.perf_counter()
-                column = pbell_column(args.nmax, p, backend)
-                elapsed = time.perf_counter() - start
-                peak = max(
-                    max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for c in column
-                )
-                print(f"{backend.value},{args.nmax},{p},{rep},{elapsed:.6f},{peak}")
-            if p in reference:
-                if column != reference[p]:
-                    failures += 1
-                    print(
-                        f"bench: backend {backend.value} disagrees at p={p}",
-                        file=sys.stderr,
-                    )
-            else:
-                reference[p] = column
-    return 0 if failures == 0 else 1
+        for rep in range(args.repeat):
+            reset_cache()
+            start = time.perf_counter()
+            column = pbell_column(args.nmax, args.p, backend)
+            elapsed = time.perf_counter() - start
+            peak = max(
+                max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in column
+            )
+            print(f"{backend.value},{args.nmax},{args.p},{rep},{elapsed:.6f},{peak}")
+        columns.append(column)
+        if column != columns[0]:
+            print(f"bench: backend {backend.value} disagrees at p={args.p}", file=sys.stderr)
+    return 0 if all(column == columns[0] for column in columns) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the backends on a column of values")
     p_bench.add_argument("--nmax", type=int, required=True)
-    group = p_bench.add_mutually_exclusive_group()
-    group.add_argument("--p", type=int, default=1, help="single column order")
-    group.add_argument("--pmax", type=int, default=None, help="bench all columns 0..pmax")
+    p_bench.add_argument("--p", type=int, default=1, help="column order")
     p_bench.add_argument(
         "--backends",
         default=",".join(_BACKEND_NAMES),

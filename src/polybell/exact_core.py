@@ -64,7 +64,7 @@ def rational(value: RationalLike) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Serialize to "num/den", or a bare integer when the denominator is 1."""
-    return str(Fraction(q))
+    return str(q) if type(q) in (int, Fraction) else str(Fraction(q))
 
 
 def parse_rational(text: str) -> Fraction:

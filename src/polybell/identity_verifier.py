@@ -67,7 +67,7 @@ from .exact_core import (
 )
 from .numeric_bridge import hyp1f1, lower_inc_gamma
 from .pbell import pbell_column, pbell_egf, pbell_poly, pbell_ramanujan_p1
-from .polybell import iterated_integral_pbell, polybell_neg, polybell_neg_row
+from .polybell import iterated_integral_pbell, polybell_neg, polybell_neg_columns
 from .special_numbers import bell_poly, r_stirling2, stirling1
 
 __all__ = [
@@ -430,10 +430,11 @@ def verify_iterated_integral(n_max: int, p_max: int) -> CheckReport:
 def verify_row_sum(n_max: int) -> CheckReport:
     """sum_{p<=n} B_n^(-p)/p! = phi_n(2), both sides as integers over n!."""
     params = {"n_max": n_max}
+    cols = polybell_neg_columns(n_max, n_max)
     cases = (
         (
             f"n={n}",
-            sum(perm(n, n - p) * v for p, v in enumerate(polybell_neg_row(n, n))),
+            sum(perm(n, n - p) * cols[p][n] for p in range(n + 1)),
             factorial(n) * poly_eval(bell_poly(n), 2),
             factorial(n),
         )

@@ -48,6 +48,7 @@ __all__ = [
     "pbell_gen_bernoulli",
     "pbell_number",
     "pbell_column",
+    "pbell_columns",
     "pbell_egf",
     "pbell_ramanujan_p1",
     "pbell_poly",
@@ -196,6 +197,23 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
         return _recurrence_table(n_max, p)
     fn = _BACKEND_FN[backend]
     return [fn(r, p) for r in range(n_max + 1)]
+
+
+def pbell_columns(n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[list[Fraction]]:
+    """[pbell_column(n_max, p, backend) for p = 0..p_max] from one backend column: on the
+    integers W_{n,p} = B_{n,p} (n+p)!/p!, order 0 is n! phi_n, order 1 the backend's column to
+    row n_max + p_max - 1, and each higher order one row shorter by the order relation of
+    ``polybell``: W_{n,j+1} = ((n+j)(n+j+1) W_{n,j-1} - (j-1)(n+j+1) W_{n,j} - W_{n+1,j}) / j."""
+    _check_indices(n_max, p_max)
+    facts = list(accumulate(range(1, n_max + p_max + 1), mul, initial=1))
+    ws = [[bell_number(n) * f for n, f in enumerate(facts)]]
+    if p_max:
+        ones = pbell_column(n_max + p_max - 1, 1, backend)
+        ws.append([int(b * f) for b, f in zip(ones, facts[1:])])
+    for j in range(1, p_max):
+        ws.append([((n + j + 1) * ((n + j) * low - (j - 1) * mid) - up) // j
+                   for n, (low, mid, up) in enumerate(zip(ws[j - 1], ws[j], ws[j][1:]))])
+    return [_from_numerators(w[: n_max + 1], p) for p, w in enumerate(ws)]
 
 
 def pbell_egf(p: int, order: int) -> EgfSeries:

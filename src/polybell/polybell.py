@@ -11,6 +11,11 @@ zero whenever p > n except B_0^(0) = 1.  They satisfy
 
 and, unlike poly-Bernoulli numbers, they are NOT symmetric in (n, p):
 ``duality_counterexample`` exhibits the smallest witness.
+
+Touchard's phi_{n+1} = x (phi_n + phi_n'), with B_n^(p) the p-fold antiderivative
+of phi_n at 1 and B_n^(-p) its p-th derivative there, gives for every integer k
+
+    B_{n+1}^(k) = (1 - k) B_n^(k) + B_n^(k-1) - k B_n^(k+1).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .special_numbers import _check_indices, bell_number, bell_poly, stirling2, 
 __all__ = [
     "polybell_pos",
     "polybell_neg",
-    "polybell_neg_row",
+    "polybell_neg_columns",
     "polybell_neg_derivative",
     "polybell_neg_row_poly",
     "polybell_poly",
@@ -46,15 +51,14 @@ def polybell_neg(n: int, p: int) -> int:
     return sum(perm(k, p) * s for k, s in enumerate(stirling2_row(n)))
 
 
-def polybell_neg_row(n: int, p_max: int) -> list[int]:
-    """[B_n^(0), B_n^(-1), ..., B_n^(-p_max)] from one read of Stirling row n."""
-    _check_indices(n, p_max)
-    terms = stirling2_row(n)  # term k of order p is k!/(k-p)! {n,k}, zero for k < p
-    out = []
-    for p in range(p_max + 1):
-        out.append(sum(terms))
-        terms = [(k - p) * t for k, t in enumerate(terms)]
-    return out
+def polybell_neg_columns(n_max: int, p_max: int) -> list[list[int]]:
+    """[[B_n^(-p) for n = 0..n_max] for p = 0..p_max], from the Bell numbers alone
+    by the order relation at k = -p, one row shorter per step and with no division."""
+    _check_indices(n_max, p_max)
+    cols = [[bell_number(n) for n in range(n_max + p_max + 1)]]
+    for p in range(p_max):  # at p = 0, cols[p - 1] is cols[0], under the weight p = 0
+        cols.append([up - (p + 1) * d - p * low for d, up, low in zip(cols[p], cols[p][1:], cols[p - 1])])
+    return [col[: n_max + 1] for col in cols]
 
 
 def polybell_neg_derivative(n: int, p: int) -> int:
@@ -65,8 +69,8 @@ def polybell_neg_derivative(n: int, p: int) -> int:
 
 def polybell_neg_row_poly(n: int) -> Polynomial:
     """The row polynomial sum_p B_n^(-p) y^p/p!, which equals phi_n(1 + y)."""
-    _check_indices(n, 0)
-    return Polynomial([Fraction(v, factorial(p)) for p, v in enumerate(polybell_neg_row(n, n))])
+    columns = polybell_neg_columns(n, n)
+    return Polynomial([Fraction(c[n], factorial(p)) for p, c in enumerate(columns)])
 
 
 def polybell_poly(n: int, p: int) -> Polynomial:

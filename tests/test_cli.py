@@ -148,6 +148,24 @@ def test_table_single_row(capsys):
     assert out == "n\\p,0,1,2,3\n0,1,1,1,1\n"
 
 
+@pytest.mark.parametrize(
+    "kind, nmax, pmax",
+    [
+        ("pbell-numbers", "-1", "3"),
+        ("polybell-neg", "-1", "3"),
+        ("pbell-poly-coeffs", "-1", "3"),
+        ("pbell-numbers", "4", "-1"),
+        ("polybell-neg", "4", "0"),
+        ("pbell-poly-coeffs", "4", "-1"),
+    ],
+)
+def test_table_bounds_out_of_range_exit_two_before_any_output(capsys, kind, nmax, pmax):
+    # polybell-neg lists the orders -1..-pmax, so pmax 0 would be a table without columns
+    code, out, err = run_cli(capsys, "table", "--kind", kind, "--nmax", nmax, "--pmax", pmax)
+    assert code == 2 and out == ""
+    assert "table bounds out of range" in err
+
+
 def test_table_csv_cells_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--kind", "pbell-numbers", "--nmax", "5", "--pmax", "4"
@@ -443,6 +461,12 @@ def test_bench_bad_backend_or_repeat(capsys):
     assert code == 2 and "unknown backend" in err
     code, _, err = run_cli(capsys, "bench", "--nmax", "5", "--repeat", "0")
     assert code == 2
+
+
+def test_bench_times_a_single_order(capsys):
+    # the whole-table mode is gone: --pmax is a usage error, not an empty pass
+    code, out, err = run_cli(capsys, "bench", "--nmax", "5", "--pmax", "-1")
+    assert code == 2 and out == "" and "--pmax" in err
 
 
 # ---------------------------------------------------------------------------

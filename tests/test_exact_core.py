@@ -58,6 +58,14 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0"
 
 
+def test_format_rational_of_ints_bools_and_strings():
+    # ints and Fractions print as themselves; anything else goes through Fraction
+    assert format_rational(-12) == "-12"
+    assert format_rational(10**40) == str(10**40)
+    assert format_rational(True) == "1"
+    assert format_rational("6/4") == "3/2"
+
+
 @pytest.mark.parametrize("text", ["5/6", "-7/3", "0", "42", "+3/7", "-12"])
 def test_parse_format_round_trip(text):
     value = parse_rational(text)

@@ -12,6 +12,7 @@ from polybell.pbell import (
     _recurrence_table,
     _z_rows,
     pbell_column,
+    pbell_columns,
     pbell_egf,
     pbell_explicit,
     pbell_gen_bernoulli,
@@ -72,6 +73,37 @@ def test_pbell_column_matches_scalar_calls():
     for backend in PBellBackend:
         col = pbell_column(9, 2, backend)
         assert col == [pbell_number(n, 2, backend) for n in range(10)]
+
+
+@pytest.mark.parametrize("backend", list(PBellBackend))
+def test_order_climb_matches_per_column_sweeps(backend):
+    reset_cache()
+    climbed = pbell_columns(25, 8, backend)
+    # --backend chooses the route of the p = 1 column alone
+    swept = [p for p in range(9) if CACHE.rows(f"bell:{p}")]
+    assert swept == ([1] if backend is PBellBackend.Z_TRIANGLE else [])
+    reference = [pbell_column(25, p, backend) for p in range(9)]
+    assert climbed == reference
+    for p_max in range(9):
+        assert pbell_columns(25, p_max, backend) == reference[: p_max + 1], p_max
+    for n_max in range(26):
+        assert pbell_columns(n_max, 8, backend) == [col[: n_max + 1] for col in reference], n_max
+    assert pbell_columns(0, 0, backend) == [[1]]
+    assert pbell_columns(0, 1, backend) == [[1], [1]]
+
+
+def test_order_climb_at_the_table_size_stores_only_the_backend_column():
+    reset_cache()
+    columns = pbell_columns(200, 12)
+    # the climbed orders are not kept as triangle rows; only the p = 1 sweep is
+    assert len(CACHE.rows("bell:1")) == 212
+    assert all(not CACHE.rows(f"bell:{p}") for p in (0, *range(2, 13)))
+    reset_cache()
+    assert columns == [pbell_column(200, p) for p in range(13)]
+    with pytest.raises(ValueError):
+        pbell_columns(-1, 3)
+    with pytest.raises(ValueError):
+        pbell_columns(3, -1)
 
 
 def test_pbell_egf_coefficients():

@@ -4,13 +4,13 @@ from math import factorial, perm
 import pytest
 
 from polybell.exact_core import Polynomial, poly_eval
-from polybell.pbell import pbell_number, pbell_poly
+from polybell.pbell import pbell_explicit, pbell_number, pbell_poly
 from polybell.polybell import (
     duality_counterexample,
     iterated_integral_pbell,
     polybell_neg,
     polybell_neg_derivative,
-    polybell_neg_row,
+    polybell_neg_columns,
     polybell_neg_row_poly,
     polybell_poly,
     polybell_pos,
@@ -39,23 +39,45 @@ def test_negative_order_reference_table():
 
 
 def test_negative_order_row_equals_per_cell_sums():
+    columns = polybell_neg_columns(60, 12)
     for n in range(61):
         cells = [sum(perm(k, p) * stirling2(n, k) for k in range(p, n + 1)) for p in range(13)]
-        assert polybell_neg_row(n, 12) == cells, n
+        assert [column[n] for column in columns] == cells, n
         assert [polybell_neg(n, p) for p in range(13)] == cells, n
 
 
 def test_forced_stirling_cell_reaches_negative_orders():
-    clean = polybell_neg_row(6, 6)
+    clean = [polybell_neg(6, p) for p in range(7)]
     # {6,3} enters B_6^(-p) with weight 3!/(3-p)!; poke it before and after a fill
     for filled in (False, True):
         reset_cache()
         if filled:
-            polybell_neg_row(6, 6)
+            polybell_neg(6, 0)
         CACHE.force(("s2", 6, 3), 91)
         expected = [clean[p] + perm(3, p) for p in range(7)]
-        assert polybell_neg_row(6, 6) == expected
         assert [polybell_neg(6, p) for p in range(7)] == expected
+
+
+def test_negative_order_columns_past_the_diagonal_are_zero():
+    # B_n^(-p) = 0 for p > n, so every column past n_max is all zeros
+    columns = polybell_neg_columns(5, 9)
+    assert len(columns) == 10 and all(len(column) == 6 for column in columns)
+    for p, column in enumerate(columns):
+        assert column == [polybell_neg(n, p) for n in range(6)], p
+    assert columns[6:] == [[0] * 6] * 4
+    assert polybell_neg_columns(0, 3) == [[1], [0], [0], [0]]
+
+
+def test_order_relation_links_every_integer_order():
+    # B_{n+1}^(k) = (1 - k) B_n^(k) + B_n^(k-1) - k B_n^(k+1), with the positive orders
+    # from the explicit Stirling sums and the negative ones from the derivative form
+    def poly_bell(n, k):
+        return pbell_explicit(n, k) / factorial(k) if k >= 0 else polybell_neg_derivative(n, -k)
+
+    for n in range(40):
+        row, up = ({k: poly_bell(m, k) for k in range(-16, 17)} for m in (n, n + 1))
+        for k in range(-15, 16):
+            assert up[k] == (1 - k) * row[k] + row[k - 1] - k * row[k + 1], (n, k)
 
 
 def test_negative_order_int_view():
