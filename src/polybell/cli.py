@@ -146,7 +146,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = [token for chunk in args.only for token in chunk.split(",") if token]
     try:
         reports = run_all(n_max=args.nmax, p_max=args.pmax, order=args.order, only=only)
@@ -208,8 +208,8 @@ def _cmd_bench(args) -> int:
     if not backends:
         print("bench: no backends given", file=sys.stderr)
         return 2
-    if args.repeat < 1:
-        print("bench: --repeat must be >= 1", file=sys.stderr)
+    if args.repeat < 1 or min(args.nmax, args.p) < 0:
+        print("bench: need --nmax >= 0, --p >= 0 and --repeat >= 1", file=sys.stderr)
         return 2
     print("backend,nmax,p,repeat,seconds,peak_bits")
     columns = []

@@ -8,12 +8,12 @@ Conventions
 * :class:`EgfSeries` stores ``a_k``, the coefficient of ``z^k/k!``, for
   ``k = 0..order``.  Everything downstream is stated in EGF form; ordinary
   coefficients appear only at boundaries (multiply by ``k!``).
-* An :class:`EgfSeries` and a :class:`Polynomial` each hold ``int``
-  numerators over one positive ``int`` denominator, the lcm of the
-  coefficients' reduced denominators, and every series and polynomial
-  operation (and ``poly_eval``) runs on those integers; ``coeffs`` and
-  ``coeff`` hand out Fractions.  All values are immutable and all operations
-  are pure.
+* :class:`EgfSeries` and :class:`Polynomial` share one private base class,
+  ``_Numerators``, that holds the number format: ``int`` numerators over one
+  positive ``int`` denominator, the lcm of the coefficients' reduced
+  denominators.  Every series and polynomial operation (and ``poly_eval``)
+  runs on those integers; ``coeffs`` and ``coeff`` hand out Fractions.  All
+  values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -78,24 +78,73 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-class Polynomial:
-    """Dense polynomial over the rationals, coefficients in ascending degree.
-
-    Canonical form keeps no trailing zero coefficients, except the zero
-    polynomial which is stored as the single coefficient [0] (``degree`` 0,
-    ``is_zero`` True).  Like :class:`EgfSeries` it holds ``int`` numerators
-    over one positive ``int`` denominator in lowest terms.
-    """
+class _Numerators:
+    """``int`` numerators ``_nums`` over one positive ``int`` ``_den``, in lowest
+    terms.  ``_make`` is the one constructor; each subclass adds its canonical
+    form to it."""
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[RationalLike] = (0,)):
-        p = _poly(*_over_lcm(coeffs))
-        self._nums, self._den = p._nums, p._den
+    def __init__(self, coeffs: Iterable[RationalLike]):
+        made = self._make(*_over_lcm(coeffs))
+        self._nums, self._den = made._nums, made._den
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int):
+        """A new ``cls`` holding nums/den (den != 0) in lowest terms, den > 0."""
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        obj = object.__new__(cls)
+        obj._nums = tuple(a // g for a in nums) if g != 1 else tuple(nums)
+        obj._den = den // g
+        return obj
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self._den) for a in self._nums)
+
+    def scale(self, c: RationalLike):
+        cn, cd = _num_den(c)
+        return self._make([cn * a for a in self._nums], cd * self._den)
+
+    def __neg__(self):
+        return self._make([-a for a in self._nums], self._den)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _Numerators) else -rational(other))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._den == other._den and self._nums == other._nums
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+    def __repr__(self) -> str:
+        body = ", ".join(format_rational(c) for c in self.coeffs)
+        return f"{type(self).__name__}([{body}])"
+
+
+class Polynomial(_Numerators):
+    """Dense polynomial over the rationals, coefficients in ascending degree.
+
+    Canonical form keeps no trailing zero coefficients, except the zero
+    polynomial which is stored as the single coefficient [0] (``degree`` 0,
+    ``is_zero`` True).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[RationalLike] = (0,)):
+        super().__init__(coeffs)
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int) -> Polynomial:
+        """The polynomial nums/den (den != 0), without trailing zeros, reduced."""
+        d = len(nums)
+        while d > 1 and not nums[d - 1]:
+            d -= 1
+        return super()._make(nums[:d] or [0], den)
 
     @property
     def degree(self) -> int:
@@ -111,18 +160,6 @@ class Polynomial:
             return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._den == other._den and self._nums == other._nums
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
-
-    def __repr__(self) -> str:
-        body = ", ".join(format_rational(c) for c in self.coeffs)
-        return f"Polynomial([{body}])"
-
     def __add__(self, other: Polynomial) -> Polynomial:
         den = lcm(self._den, other._den)
         a = [x * (den // self._den) for x in self._nums]
@@ -133,17 +170,10 @@ class Polynomial:
             a[i] += y
         return _poly(a, den)
 
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __neg__(self) -> Polynomial:
-        return _poly([-a for a in self._nums], self._den)
-
     def __mul__(self, other: Union[Polynomial, RationalLike]) -> Polynomial:
         if isinstance(other, Polynomial):
             return _poly(_convolve(self._nums, other._nums), self._den * other._den)
-        cn, cd = _num_den(other)
-        return _poly([cn * a for a in self._nums], cd * self._den)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -159,8 +189,6 @@ class Polynomial:
         return _poly(acc, self._den * epow)
 
     def derivative(self) -> Polynomial:
-        if self.degree == 0:
-            return Polynomial()
         return _poly([(i + 1) * a for i, a in enumerate(self._nums[1:])], self._den)
 
     def antiderivative(self) -> Polynomial:
@@ -172,6 +200,9 @@ class Polynomial:
     @staticmethod
     def x() -> Polynomial:
         return Polynomial([0, 1])
+
+
+_poly = Polynomial._make
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -194,22 +225,21 @@ def poly_eval(p: Polynomial, x: RationalLike) -> Fraction:
     return Fraction(acc, p._den * vpow)
 
 
-class EgfSeries:
+class EgfSeries(_Numerators):
     """Truncated exponential generating function.
 
     ``coeffs[k]`` is the coefficient of ``z^k/k!`` for ``k = 0..order``.
     Binary operations truncate to the smaller order of the two operands.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[RationalLike]):
-        s = _series(*_over_lcm(coeffs))
-        self._nums, self._den = s._nums, s._den
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self._den) for a in self._nums)
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int) -> EgfSeries:
+        """The series nums/den (den != 0), reduced to canonical form."""
+        if not nums:
+            raise ValueError("an EGF series needs at least the constant term")
+        return super()._make(nums, den)
 
     @property
     def order(self) -> int:
@@ -229,10 +259,6 @@ class EgfSeries:
         """Index of the first nonzero coefficient, or None if zero to order."""
         return next((i for i, a in enumerate(self._nums) if a), None)
 
-    def scale(self, c: RationalLike) -> EgfSeries:
-        cn, cd = _num_den(c)
-        return _series([cn * a for a in self._nums], cd * self._den)
-
     def __add__(self, other: Union[EgfSeries, RationalLike]) -> EgfSeries:
         if not isinstance(other, EgfSeries):
             other = egf_constant(other, self.order)
@@ -241,12 +267,6 @@ class EgfSeries:
         return _series([fa * a + fb * b for a, b in zip(self._nums, other._nums)], den)
 
     __radd__ = __add__
-
-    def __sub__(self, other: Union[EgfSeries, RationalLike]) -> EgfSeries:
-        return -(-self + other)
-
-    def __neg__(self) -> EgfSeries:
-        return _series([-a for a in self._nums], self._den)
 
     def first_difference(self, other: EgfSeries, upto: int | None = None) -> int | None:
         """Smallest k with differing coefficients over the shared order.
@@ -258,17 +278,8 @@ class EgfSeries:
         pairs = zip(self._nums[: n + 1], other._nums)
         return next((k for k, (a, b) in enumerate(pairs) if a * db != b * da), None)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EgfSeries):
-            return self._den == other._den and self._nums == other._nums
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
-
-    def __repr__(self) -> str:
-        body = ", ".join(format_rational(c) for c in self.coeffs)
-        return f"EgfSeries([{body}])"
+_series = EgfSeries._make
 
 
 def _num_den(value: RationalLike) -> tuple[int, int]:
@@ -281,30 +292,6 @@ def _over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     pairs = [_num_den(c) for c in values]
     den = lcm(*(d for _, d in pairs))
     return [a * (den // d) for a, d in pairs], den
-
-
-def _reduced(cls: type, nums: Sequence[int], den: int):
-    """A new ``cls`` holding nums/den (den != 0) in lowest terms, den > 0."""
-    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-    obj = object.__new__(cls)
-    obj._nums = tuple(a // g for a in nums) if g != 1 else tuple(nums)
-    obj._den = den // g
-    return obj
-
-
-def _series(nums: Sequence[int], den: int) -> EgfSeries:
-    """The series nums/den (den != 0), reduced to canonical form."""
-    if not nums:
-        raise ValueError("an EGF series needs at least the constant term")
-    return _reduced(EgfSeries, nums, den)
-
-
-def _poly(nums: Sequence[int], den: int) -> Polynomial:
-    """The polynomial nums/den (den != 0), without trailing zeros, reduced."""
-    d = len(nums)
-    while d > 1 and not nums[d - 1]:
-        d -= 1
-    return _reduced(Polynomial, nums[:d] or [0], den)
 
 
 def egf_zero(order: int) -> EgfSeries:

@@ -443,24 +443,6 @@ def verify_row_sum(n_max: int) -> CheckReport:
     return _cleared_report("polybell-row-sum", params, cases)
 
 
-IDENTITY_IDS: tuple[str, ...] = (
-    "egf-definition",
-    "egf-closed-form",
-    "egf-step-recurrence",
-    "egf-three-term",
-    "double-egf-pbell",
-    "double-egf-polybell",
-    "egf-derivative-operator",
-    "incomplete-gamma-form",
-    "cross-column-recurrence",
-    "stirling-transform",
-    "poly-recurrence",
-    "ramanujan-p1",
-    "iterated-integral",
-    "polybell-row-sum",
-)
-
-
 def thread_count() -> int:
     """Worker count of the identity suite: 1, since the suite runs serially."""
     return 1
@@ -498,6 +480,9 @@ def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], Ch
     return jobs
 
 
+IDENTITY_IDS: tuple[str, ...] = tuple(dict.fromkeys(name for name, _ in _jobs(1, 1, 1)))
+
+
 def run_all(
     n_max: int = 12,
     p_max: int = 5,
@@ -512,4 +497,10 @@ def run_all(
         unknown = sorted(set(only) - set(IDENTITY_IDS))
         if unknown:
             raise KeyError(f"unknown identity ids: {', '.join(unknown)}")
-    return [job() for name, job in _jobs(n_max, p_max, order) if only is None or name in only]
+    jobs = [job for name, job in _jobs(n_max, p_max, order) if only is None or name in only]
+    if not jobs:
+        raise ValueError(
+            f"no identity check selected by only={list(only)} at "
+            f"n_max={n_max}, p_max={p_max}, order={order}"
+        )
+    return [job() for job in jobs]

@@ -320,6 +320,21 @@ def test_verify_low_order_and_negative_bounds(capsys):
         assert code == 2 and out == "" and "=-1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--only", ","),
+        ("--only",),
+        ("--pmax", "0", "--only", "egf-closed-form"),
+        ("--order", "0", "--pmax", "2", "--only", "egf-derivative-operator"),
+    ],
+)
+def test_verify_selecting_no_check_exits_two(capsys, argv):
+    # each printed "0/0 identity checks passed" and exited 0
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "no identity check selected" in err
+
+
 def test_verify_reports_failure_with_exit_one(capsys):
     CACHE.force(("s2", 6, 3), Fraction(91))
     code, out, _ = run_cli(capsys, "verify", "--nmax", "12", "--pmax", "5", "--order", "12")
@@ -461,6 +476,9 @@ def test_bench_bad_backend_or_repeat(capsys):
     assert code == 2 and "unknown backend" in err
     code, _, err = run_cli(capsys, "bench", "--nmax", "5", "--repeat", "0")
     assert code == 2
+    for argv in (("--nmax", "-1"), ("--nmax", "5", "--p", "-1")):
+        code, out, err = run_cli(capsys, "bench", *argv)
+        assert code == 2 and out == "" and "--nmax >= 0" in err
 
 
 def test_bench_times_a_single_order(capsys):

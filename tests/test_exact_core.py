@@ -205,6 +205,29 @@ def test_polynomial_canonical_form():
         Polynomial([1, 2]) * 0.5
 
 
+@pytest.mark.parametrize("cls", [Polynomial, EgfSeries])
+def test_shared_number_format(cls):
+    # the private constructor takes a negative, non-reduced denominator
+    a = cls._make([2, -4, 6], -4)
+    assert a == cls([Fraction(-1, 2), 1, Fraction(-3, 2)]) and a._den == 2
+    assert repr(a) == f"{cls.__name__}([-1/2, 1, -3/2])"
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    twin = (EgfSeries if cls is Polynomial else Polynomial)(a.coeffs)
+    assert a != twin and twin != a and len({a, twin}) == 2
+    b = cls._make([3, 0, -9], 6)
+    assert -a == cls([Fraction(1, 2), -1, Fraction(3, 2)]) and hash(-(-a)) == hash(a)
+    assert a - b == cls([-1, 1, 0]) and b - a == -(a - b)
+    quarter = cls([Fraction(1, 4), Fraction(-1, 2), Fraction(3, 4)])
+    assert a.scale(Fraction(-2, 4)) == a.scale("-1/2") == quarter
+    assert a.scale(0) == cls([0, 0, 0]) and a.scale(-1) == -a
+    if cls is Polynomial:
+        assert a * Fraction(-1, 2) == Fraction(-1, 2) * a == quarter
+        assert Polynomial([5]).derivative() == Polynomial()
+    assert Polynomial([1, 2]) != EgfSeries([1, 2])
+
+
 # ---------------------------------------------------------------------------
 # truncated EGF arithmetic
 

@@ -48,6 +48,14 @@ def test_unknown_id_raises_key_error():
         run_all(only=["no-such-check"])
 
 
+def test_selection_of_no_check_raises():
+    # a selection that runs nothing would report 0/0 checks passed
+    with pytest.raises(ValueError, match=r"egf-closed-form.*n_max=0, p_max=0, order=0"):
+        run_all(0, 0, 0, only=["egf-closed-form"])
+    with pytest.raises(ValueError, match=r"only=\[\]"):
+        run_all(only=[])
+
+
 @pytest.mark.parametrize("order", range(4))
 def test_orders_below_p_max_pass(order):
     # below order p the series w^p truncates to zero, so the displayed
