@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -161,14 +162,12 @@ class Polynomial(_Numerators):
         return Fraction(0)
 
     def __add__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented  # a scalar goes through * or scale, a series has no degree
         den = lcm(self._den, other._den)
-        a = [x * (den // self._den) for x in self._nums]
-        b = [x * (den // other._den) for x in other._nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, y in enumerate(b):
-            a[i] += y
-        return _poly(a, den)
+        fa, fb = den // self._den, den // other._den
+        pairs = zip_longest(self._nums, other._nums, fillvalue=0)
+        return _poly([fa * a + fb * b for a, b in pairs], den)
 
     def __mul__(self, other: Union[Polynomial, RationalLike]) -> Polynomial:
         if isinstance(other, Polynomial):

@@ -33,8 +33,6 @@ from itertools import zip_longest
 from math import comb, factorial
 from typing import Union
 
-import numpy as np
-
 from .exact_core import RationalLike, format_rational, poly_eval, rational
 from .pbell import pbell_number, pbell_poly
 
@@ -105,19 +103,16 @@ def _mix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-_NP_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_NP_M2 = np.uint64(0x94D049BB133111EB)
-
-
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start + 1 .. start + count`` of the stream with this seed."""
+    import numpy as np
     x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     x *= np.uint64(_GOLDEN)  # the SplitMix64 steps, in place on one array
     x += np.uint64(seed)
     x ^= x >> np.uint64(30)
-    x *= _NP_M1
+    x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
-    x *= _NP_M2
+    x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     x >>= np.uint64(11)
     return x.astype(np.float64) * 2.0**-53
@@ -257,6 +252,7 @@ def _log_f_real(r: float, p: int) -> tuple[float, float]:
     """log f_p(r) and r f_p'(r)/f_p(r) at real r > 0, from the positive series
     f_p = sum_m t_m, w = e^r - 1, summed relative to its largest term
     (r f_p' = r (w+1)/w sum_m m t_m)."""
+    import numpy as np
     w = math.expm1(r)
     m = np.arange(_series_terms(w))
     log_t = np.concatenate(([0.0], np.cumsum(np.log(w / (p + m[1:])))))
@@ -267,6 +263,7 @@ def _log_f_real(r: float, p: int) -> tuple[float, float]:
 
 def _f_on_circle(z: np.ndarray, p: int, terms: int) -> np.ndarray:
     """f_p(z) = sum_{m<terms} w^m p!/(p+m)!, w = e^z - 1, at complex nodes."""
+    import numpy as np
     w = np.exp(z) - 1.0
     t = np.ones_like(w)
     value = t.copy()
@@ -311,6 +308,7 @@ def cesaro_pbell(n: int, p: int, tol: float = 1e-6) -> NumericCheck:
     A target past the float range (p = 1: n >= 220) raises ValueError before any
     quadrature, and so does a non-finite sum or a need for more than 2^16 nodes.
     """
+    import numpy as np
     if n < 1 or p < 1 or not 0 <= tol < math.inf:
         raise ValueError(f"need n >= 1, p >= 1 and a finite tol >= 0; got n={n}, p={p}, tol={tol}")
     target = pbell_number(n, p)
@@ -359,6 +357,7 @@ def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
     round k are those with Z >= k; a stopped draw never restarts, so the kept
     ones see the same float ops as when every draw is updated each round.
     Blocks of ``_BLOCK`` draws take their uniforms by stream position."""
+    import numpy as np
     if p < 1 or count < 0:
         raise ValueError(f"need p >= 1 and count >= 0, got p={p}, count={count}")
     pos = rng._pos

@@ -228,6 +228,21 @@ def test_shared_number_format(cls):
     assert Polynomial([1, 2]) != EgfSeries([1, 2])
 
 
+def test_polynomial_adds_only_polynomials():
+    # a series is not read as a polynomial, nor a polynomial as a series
+    with pytest.raises(TypeError):
+        Polynomial([1]) + EgfSeries([1, 2])
+    with pytest.raises(TypeError):
+        EgfSeries([1, 2]) + Polynomial([1])
+    # a scalar is not added to a polynomial (it goes through * or scale)
+    for scalar in (3, Fraction(1, 2), "3"):
+        with pytest.raises(TypeError):
+            Polynomial([1]) - scalar
+        with pytest.raises(TypeError):
+            Polynomial([1]) + scalar
+    assert EgfSeries([1, 2]) - 3 == EgfSeries([-2, 2])
+
+
 # ---------------------------------------------------------------------------
 # truncated EGF arithmetic
 
