@@ -17,11 +17,11 @@ pure function of the sample count, independent of any parallelism.
 The beta-Poisson sampler draws lambda ~ Beta(1, p) by inverse CDF
 (lambda = 1 - u^{1/p}, always in [0, 1]) and then Z ~ Poisson(lambda) by
 inversion, which needs one uniform per draw since lambda <= 1.  It works in
-cache-sized blocks, each computing its uniforms from their counter offsets,
-which changes no output.  It returns the histogram of Z, which takes a dozen
-or so small values: chunk histograms are added as integers, and each
-reduction is exact over the distinct values (a rational sum for ``mc``,
-``math.fsum`` for ``mgf``), rounded once.
+blocks whose arrays stay under 128 KiB, so that glibc does not trim the heap
+after each block; blocking changes no output.  It returns the histogram of
+Z, which takes a dozen or so small values: chunk histograms are added as
+integers, and each reduction is exact over the distinct values (a rational
+sum for ``mc``, ``math.fsum`` for ``mgf``), rounded once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial
-from typing import Union
+from typing import Iterator, Union
 
 from .exact_core import RationalLike, format_rational, poly_eval, rational
 from .pbell import pbell_number, pbell_poly
@@ -54,9 +54,10 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN_SPLIT = 0xC2B2AE3D27D4EB4F
 _CHUNK = 1 << 19
-_BLOCK = 1 << 14  # draws per block of beta_poisson_batch: its arrays stay in L2 cache
+_BLOCK = 1 << 13  # draws per block: 64 KiB arrays (128 KiB ones cost 1,152 heap-trim faults per mc)
 _U = 2.0**-53  # unit roundoff of float64
 _HYP_TOL = 1e-15  # hyp1f1 stops at a term this far below the sum
+_steps: dict[int, np.ndarray] = {}  # b -> i * _GOLDEN mod 2^64, i = 1 .. b; built by the first draw
 
 
 @dataclass(frozen=True)
@@ -103,19 +104,20 @@ def _mix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start + 1 .. start + count`` of the stream with this seed."""
+def _uniforms(seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    """Outputs ``start + 1 .. start + count`` of this seed's stream, in blocks."""
     import numpy as np
-    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x *= np.uint64(_GOLDEN)  # the SplitMix64 steps, in place on one array
-    x += np.uint64(seed)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    x >>= np.uint64(11)
-    return x.astype(np.float64) * 2.0**-53
+    if (steps := _steps.get(_BLOCK)) is None:
+        steps = _steps[_BLOCK] = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    for lo in range(start, start + count, _BLOCK):
+        x = steps[: min(_BLOCK, start + count - lo)] + np.uint64((seed + lo * _GOLDEN) & _M64)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        x >>= np.uint64(11)  # the top 53 bits, exact as int64 and as float64
+        yield np.multiply(x.view(np.int64), 2.0**-53, out=x.view(np.float64))
 
 
 class RngStream:
@@ -131,10 +133,11 @@ class RngStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` doubles in [0, 1), advancing the stream."""
+        import numpy as np
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         self._pos += count
-        return _uniforms(self.seed, self._pos - count, count)
+        return np.concatenate([np.empty(0), *_uniforms(self.seed, self._pos - count, count)])
 
     def split(self, index: int) -> "RngStream":
         """Child stream ``index``, disjoint from this stream and its siblings."""
@@ -360,13 +363,10 @@ def beta_poisson_batch(p: int, count: int, rng: RngStream) -> np.ndarray:
     import numpy as np
     if p < 1 or count < 0:
         raise ValueError(f"need p >= 1 and count >= 0, got p={p}, count={count}")
-    pos = rng._pos
-    rng._pos += 2 * count
+    pos, rng._pos = rng._pos, rng._pos + 2 * count
     at_least = np.zeros(202, dtype=np.int64)  # at_least[k]: draws with Z >= k (k <= 200)
-    for lo in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - lo)
-        lam = 1.0 - _uniforms(rng.seed, pos + lo, size) ** (1.0 / p)
-        u_z = _uniforms(rng.seed, pos + count + lo, size)
+    for u_lam, u_z in zip(_uniforms(rng.seed, pos, count), _uniforms(rng.seed, pos + count, count)):
+        lam = np.subtract(1.0, u_lam ** (1.0 / p), out=u_lam)
         pmf = cdf = np.exp(-lam)
         k = 0
         while u_z.size:

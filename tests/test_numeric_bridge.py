@@ -377,6 +377,16 @@ def test_rng_in_place_mix_is_unchanged():
         assert np.array_equal(r.uniforms(7), _reference_uniforms(seed, 1000, 7))
 
 
+def test_rng_uniforms_are_not_capped_by_the_step_table():
+    # a draw of several blocks, starting past a block edge, matches the reference bit for bit
+    seed, count = 2**64 - 1, 3 * nb._BLOCK + 7
+    rng = RngStream(seed)
+    rng.uniforms(nb._BLOCK + 3)
+    got = rng.uniforms(count)
+    assert got.tobytes() == _reference_uniforms(seed, nb._BLOCK + 3, count).tobytes()
+    assert rng.uniforms(1).tobytes() == _reference_uniforms(seed, 4 * nb._BLOCK + 10, 1).tobytes()
+
+
 def test_rng_outputs_lie_in_unit_interval():
     u = RngStream(123).uniforms(10_000)
     assert (u >= 0).all() and (u < 1).all()
@@ -450,6 +460,23 @@ def test_beta_poisson_batch_draws_from_the_stream_position():
     got = beta_poisson_batch(3, count, rng)
     assert np.array_equal(got, np.bincount(_reference_beta_poisson(3, count, 77, start=13)))
     assert np.array_equal(rng.uniforms(2), _reference_uniforms(77, 13 + 2 * count, 2))
+
+
+def test_block_size_changes_no_draw(monkeypatch):
+    # blocks lay out memory only: every histogram and the stream position are the same
+    runs = {}
+    for block in (1000, 1 << 13, 1 << 14):
+        monkeypatch.setattr(nb, "_BLOCK", block)
+        monkeypatch.setattr(nb, "_steps", {})
+        for p in (1, 3, 6):
+            rng = RngStream(2**64 - 3)
+            rng.uniforms(5)
+            hist = nb._chunked_histogram(p, 200_000, rng)
+            batch = beta_poisson_batch(p, 20_000, rng).tolist()
+            runs.setdefault(p, []).append((hist, batch, repr(rng), rng.uniforms(2).tolist()))
+        assert list(nb._steps) == [block]
+    for p, results in runs.items():
+        assert all(result == results[0] for result in results), p
 
 
 @pytest.mark.parametrize("chunk", [nb._CHUNK, 2 * nb._BLOCK + 5])

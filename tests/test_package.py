@@ -30,6 +30,9 @@ import contextlib, io, sys
 
 def step(name, numpy_loaded):
     assert ("numpy" in sys.modules) is numpy_loaded, (name, numpy_loaded)
+    # the SplitMix64 step table is built by the first draw, never on import
+    steps = sys.modules["polybell.numeric_bridge"]._steps
+    assert bool(steps) is numpy_loaded, (name, "step table", list(steps))
 
 import polybell
 step("import polybell", False)
