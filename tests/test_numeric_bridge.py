@@ -479,10 +479,11 @@ def test_block_size_changes_no_draw(monkeypatch):
         assert all(result == results[0] for result in results), p
 
 
-@pytest.mark.parametrize("chunk", [nb._CHUNK, 2 * nb._BLOCK + 5])
+@pytest.mark.parametrize("chunk", [nb._CHUNK, (1 << 15) + 5])
 def test_chunked_histogram_is_exact_across_chunks(monkeypatch, chunk):
-    # the real chunk is a whole number of blocks; the shorter one puts a
-    # partial block at the end of both chunks
+    # the real chunk is a whole number of blocks; the shorter one, 5 past a
+    # power of two, puts a partial block at the end of both chunks
+    assert chunk == nb._CHUNK or chunk > nb._BLOCK and chunk % nb._BLOCK
     monkeypatch.setattr(nb, "_CHUNK", chunk)
     p, seed, tail = 2, 31, nb._BLOCK + 3
     split = RngStream(seed).split
