@@ -83,7 +83,6 @@ from .special_numbers import (
     stirling1,
     stirling2,
     weighted_stirling_poly,
-    whitney2,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial, gcd, inf
 
 from .exact_core import format_rational, parse_rational
 from .identity_verifier import IDENTITY_IDS, run_all
@@ -54,6 +54,12 @@ def _rational_or_float(text: str):
 # table rendering
 
 
+def _binomial_cell(c: int, a: int, b: int) -> str:
+    """``format_rational(c * Fraction(a, b))`` for a/b in lowest terms: only gcd(c, b) can cancel."""
+    g = gcd(c, b)
+    return f"{c // g * a}/{b // g}" if b != g else str(c // g * a)
+
+
 def render_table(
     kind: str,
     n_max: int,
@@ -69,22 +75,25 @@ def render_table(
     elif kind == "polybell-neg":
         labels, rows = range(-1, -p_max - 1, -1), zip(*polybell_neg_columns(n_max, p_max)[1:])
     elif kind == "pbell-poly-coeffs":
-        # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}
-        column = pbell_column(n_max, p_max, backend)
+        # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}, zero for k > n
+        ratios = [b.as_integer_ratio() for b in pbell_column(n_max, p_max, backend)]
         labels = range(n_max + 1)
-        rows = ([comb(n, k) * column[n - k] if k <= n else 0 for k in labels] for n in labels)
+        rows = ([_binomial_cell(comb(n, k), *ratios[n - k]) for k in range(n + 1)] + ["0"] * (n_max - n)
+                for n in labels)
     else:
         raise ValueError(f"unknown table kind {kind!r}")
+    if kind != "pbell-poly-coeffs":
+        rows = (map(format_rational, row) for row in rows)
     col_key = "k" if kind == "pbell-poly-coeffs" else "p"
     if fmt == "csv":
         lines = [f"n\\{col_key}," + ",".join(map(str, labels))]
-        lines += (f"{n}," + ",".join(map(format_rational, row)) for n, row in enumerate(rows))
+        lines += (f"{n}," + ",".join(row) for n, row in enumerate(rows))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         cells = [
-            {"n": n, col_key: label, "value": format_rational(value)}
+            {"n": n, col_key: label, "value": text}
             for n, row in enumerate(rows)
-            for label, value in zip(labels, row)
+            for label, text in zip(labels, row)
         ]
         return json.dumps(cells) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -1,8 +1,8 @@
 """Classical exact sequences used throughout the package.
 
 Stirling numbers of both kinds, their r-shifted and weighted-polynomial
-relatives, Whitney numbers, Bernoulli and higher-order Bernoulli numbers, and
-Bell numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
+relatives, Bernoulli and higher-order Bernoulli numbers, and Bell
+numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
 ``int``s, Bernoulli numbers exact ``Fraction``s, each memoized in one shared
 write-once cache mapping a tag to rows filled in order by ``fill_rows``; a
 reader of many cells takes the tag's map once through ``rows(tag)``.  Row n of
@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exact_core import Polynomial, _over_lcm, poly_eval
+from .exact_core import Polynomial, _over_lcm
 
 __all__ = [
     "TriangleCache",
@@ -43,7 +43,6 @@ __all__ = [
     "stirling2_row",
     "r_stirling2",
     "weighted_stirling_poly",
-    "whitney2",
     "bernoulli",
     "gen_bernoulli",
     "bell_poly",
@@ -188,14 +187,6 @@ def weighted_stirling_poly(n: int, k: int) -> Polynomial:
     """S_n^k(x) = sum_{i} C(n,i) {i,k} x^{n-i}; the zero polynomial if k > n."""
     _check_indices(n, k)
     return Polynomial([comb(n, i) * stirling2(i, k) for i in range(n, k - 1, -1)])
-
-
-def whitney2(n: int, k: int, m: int, r: int) -> Fraction:
-    """Whitney number of the second kind W_{m,r}(n,k) = m^{n-k} S_n^k(r/m)."""
-    _check_indices(n, k)
-    if m <= 0:
-        raise ValueError(f"modulus must be positive, got m={m}")
-    return Fraction(m) ** (n - k) * poly_eval(weighted_stirling_poly(n, k), Fraction(r, m))
 
 
 def _bern_step(tag: str, m: int, prev: tuple) -> tuple:

@@ -7,8 +7,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from polybell.cli import build_parser, main, render_table
+from polybell.cli import _binomial_cell, build_parser, main, render_table
 from polybell.exact_core import format_rational, parse_rational, poly_eval
 from polybell.pbell import pbell_poly
 from polybell.special_numbers import CACHE
@@ -204,19 +206,49 @@ def test_table_poly_coeffs_kind(capsys):
     assert lines[4] == "3,14/15,3/2,1,1"
 
 
-@pytest.mark.parametrize("backend", ["ztriangle", "explicit", "recurrence"])
+@pytest.mark.parametrize("backend", ["ztriangle", "explicit", "recurrence", "genbernoulli"])
 def test_table_poly_coeffs_match_per_row_polynomials(backend):
-    # one column sweep must give the same cells as one pbell_poly per row
+    # one column sweep must give the same cells as one pbell_poly per row, in both formats
     from polybell.pbell import PBellBackend, pbell_poly
 
     n_max, p = 14, 3
     polys = [pbell_poly(n, p, PBellBackend(backend)) for n in range(n_max + 1)]
-    expected = ["n\\k," + ",".join(str(k) for k in range(n_max + 1))]
-    for n, poly in enumerate(polys):
-        cells = ",".join(format_rational(poly.coeff(k)) for k in range(n_max + 1))
-        expected.append(f"{n},{cells}")
-    text = render_table("pbell-poly-coeffs", n_max, p, PBellBackend(backend))
-    assert text == "\n".join(expected) + "\n"
+    cells = [[format_rational(poly.coeff(k)) for k in range(n_max + 1)] for poly in polys]
+    csv = ["n\\k," + ",".join(str(k) for k in range(n_max + 1))]
+    csv += (f"{n}," + ",".join(row) for n, row in enumerate(cells))
+    assert render_table("pbell-poly-coeffs", n_max, p, PBellBackend(backend)) == "\n".join(csv) + "\n"
+    records = [{"n": n, "k": k, "value": v} for n, row in enumerate(cells) for k, v in enumerate(row)]
+    text = render_table("pbell-poly-coeffs", n_max, p, PBellBackend(backend), "json")
+    assert text == json.dumps(records) + "\n"
+
+
+def test_table_poly_coeffs_match_fraction_products_at_benchmark_size():
+    # C(n,k) B_{n-k,p} through Fraction arithmetic, cell by cell, at the size the tables workload prints
+    from polybell.pbell import pbell_column
+
+    n_max, p = 100, 3
+    column = pbell_column(n_max, p)
+    lines = ["n\\k," + ",".join(map(str, range(n_max + 1)))]
+    for n in range(n_max + 1):
+        row = [math.comb(n, k) * column[n - k] if k <= n else 0 for k in range(n_max + 1)]
+        lines.append(f"{n}," + ",".join(map(format_rational, row)))
+    assert render_table("pbell-poly-coeffs", n_max, p) == "\n".join(lines) + "\n"
+
+
+@given(
+    st.integers(1, 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+)
+@example(6, -5, 1)  # b = 1
+@example(12, -7, 4)  # b divides c: an integer, with no "/1"
+@example(4, 3, 8)
+def test_binomial_cell_is_the_reduced_product(c, a, b):
+    g = math.gcd(a, b)
+    a, b = a // g, b // g  # a/b in lowest terms, as the column holds it
+    text = _binomial_cell(c, a, b)
+    assert text == format_rational(c * Fraction(a, b))
+    assert ("/" in text) == (c % b != 0)
 
 
 def test_value_prints_more_digits_than_the_str_limit(capsys):

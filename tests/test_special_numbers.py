@@ -28,7 +28,6 @@ from polybell.special_numbers import (
     stirling2,
     stirling2_row,
     weighted_stirling_poly,
-    whitney2,
 )
 
 
@@ -116,17 +115,6 @@ def test_weighted_stirling_poly_values():
 
 def test_weighted_stirling_poly_above_diagonal_is_zero():
     assert weighted_stirling_poly(3, 5).is_zero
-    assert whitney2(3, 5, 2, 1) == 0
-
-
-def test_whitney2_chain():
-    for n in range(7):
-        for k in range(n + 1):
-            assert whitney2(n, k, 1, 0) == stirling2(n, k)
-            assert whitney2(n, k, 1, 1) == r_stirling2(n, k, 1)
-            # W_{2,1}(n,k) = 2^{n-k} S_n^k(1/2)
-            expected = 2 ** (n - k) * poly_eval(weighted_stirling_poly(n, k), Fraction(1, 2))
-            assert whitney2(n, k, 2, 1) == expected
 
 
 def test_bernoulli_against_series_quotient():
