@@ -25,7 +25,6 @@ from .exact_core import (
     egf_exp_rz,
     egf_mul,
     egf_z,
-    egf_zero,
     format_rational,
     parse_rational,
     poly_eval,

@@ -196,8 +196,6 @@ def _cmd_numeric(args) -> int:
     elif args.numeric_check == "pmf":
         check = pmf_check(args.p, args.k, args.samples, rng)
         params = {"p": args.p, "k": args.k, "seed": args.seed}
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.numeric_check)
     payload = {"check": args.numeric_check, "params": params, "passed": check.passed}
     payload.update(check.to_json_dict())
     print(json.dumps(payload))

@@ -37,7 +37,6 @@ __all__ = [
     "Polynomial",
     "poly_eval",
     "EgfSeries",
-    "egf_zero",
     "egf_constant",
     "egf_z",
     "egf_exp_rz",
@@ -267,14 +266,13 @@ class EgfSeries(_Numerators):
 
     __radd__ = __add__
 
-    def first_difference(self, other: EgfSeries, upto: int | None = None) -> int | None:
+    def first_difference(self, other: EgfSeries) -> int | None:
         """Smallest k with differing coefficients over the shared order.
 
         Returns None when the two series agree on every compared coefficient.
         """
-        n = min(self.order, other.order, self.order if upto is None else upto)
         da, db = self._den, other._den
-        pairs = zip(self._nums[: n + 1], other._nums)
+        pairs = zip(self._nums, other._nums)
         return next((k for k, (a, b) in enumerate(pairs) if a * db != b * da), None)
 
 
@@ -291,10 +289,6 @@ def _over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     pairs = [_num_den(c) for c in values]
     den = lcm(*(d for _, d in pairs))
     return [a * (den // d) for a, d in pairs], den
-
-
-def egf_zero(order: int) -> EgfSeries:
-    return _series([0] * (order + 1), 1)
 
 
 def egf_constant(c: RationalLike, order: int) -> EgfSeries:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, exp, expm1, factorial, lcm, perm
 from typing import Callable, Iterable, Sequence
 
@@ -167,12 +168,41 @@ def _cleared_report(
     return CheckReport(identity_id, params)
 
 
-def _ladder(base: EgfSeries, w: EgfSeries, top: int) -> list[EgfSeries]:
-    """[base, base w, ..., base w^top], one egf_mul per power."""
-    out = [base]
-    for _ in range(top):
-        out.append(egf_mul(out[-1], w))
-    return out
+class _Basis:
+    """Series the EGF checks of one run share, each built on first read and kept:
+    the powers of w = e^z - 1 and exp(w) at ``order``; exp(-w) and the operator
+    chain g_k one guard order up, so the chain's division by w keeps ``order``."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self._powers: list[EgfSeries] = []
+        self._chain: list[EgfSeries] = []
+
+    @cached_property
+    def exp_w(self) -> EgfSeries:
+        return egf_exp(self.power(1))
+
+    @cached_property
+    def exp_minus_w(self) -> EgfSeries:
+        return egf_exp(egf_em1(self.order + 1).scale(-1))
+
+    def power(self, k: int) -> EgfSeries:
+        """w^k, one egf_mul for each power above w not built yet."""
+        if not self._powers:
+            self._powers = [egf_constant(1, self.order), egf_em1(self.order)]
+        while len(self._powers) <= k:
+            self._powers.append(egf_mul(self._powers[-1], self._powers[1]))
+        return self._powers[k]
+
+    def chain(self, k: int) -> EgfSeries:
+        """g_k = (e^{-z} d/dz)^{k-1} [(1-exp(-w))/w] to order + 1 - k, for k >= 1."""
+        if not self._chain:
+            w = egf_em1(self.order + 1)
+            self._chain = [egf_div(egf_constant(1, w.order) - self.exp_minus_w, w)]
+        while len(self._chain) < k:
+            g = egf_derivative(self._chain[-1])
+            self._chain.append(egf_mul(egf_exp_rz(-1, self.order), g))
+        return self._chain[k - 1]
 
 
 def verify_egf_definition(p: int, order: int) -> CheckReport:
@@ -183,30 +213,27 @@ def verify_egf_definition(p: int, order: int) -> CheckReport:
     return _series_report("egf-definition", {"p": p, "order": order}, lhs, rhs)
 
 
-def verify_closed_forms(p: int, order: int) -> CheckReport:
+def verify_closed_forms(p: int, basis: _Basis) -> CheckReport:
     """Denominator-cleared closed form, plus the displayed quotients for p <= min(3, order)."""
     if p < 1:
         raise ValueError("the closed form needs p >= 1")
+    order, exp_w = basis.order, basis.exp_w
     params = {"p": p, "order": order}
-    w = egf_em1(order)
-    w_pow = [egf_constant(1, order), *_ladder(w, w, p - 1)]
-    exp_w = egf_exp(w)
     f = pbell_egf(p, order)
-    lhs = egf_mul(w_pow[p], f)
+    lhs = egf_mul(basis.power(p), f)
     rhs = exp_w.scale(factorial(p))
     for k in range(1, p + 1):
-        falling = factorial(p) // factorial(p - k)
-        rhs = rhs - w_pow[p - k].scale(falling)
+        rhs = rhs - basis.power(p - k).scale(perm(p, k))
     report = _series_report("egf-closed-form", params, lhs, rhs)
     if not report.passed or p > 3 or order < p:
         return report
     if p == 1:
-        quotient = egf_div(exp_w - 1, w)
+        quotient = egf_div(exp_w - 1, basis.power(1))
     elif p == 2:
-        quotient = egf_div((exp_w - egf_exp_rz(1, order)).scale(2), w_pow[2])
+        quotient = egf_div((exp_w - egf_exp_rz(1, order)).scale(2), basis.power(2))
     else:
         numerator = (exp_w.scale(2) - egf_exp_rz(2, order) - 1).scale(3)
-        quotient = egf_div(numerator, w_pow[3])
+        quotient = egf_div(numerator, basis.power(3))
     report2 = _series_report("egf-closed-form", params, quotient, f.truncate(quotient.order))
     if not report2.passed:
         detail = f"displayed quotient form: {report2.detail}"
@@ -234,90 +261,71 @@ def verify_three_term_contiguous(p: int, order: int) -> CheckReport:
     return _series_report("egf-three-term", {"p": p, "order": order}, lhs, rhs)
 
 
-def verify_double_egf_pbell(z_order: int, y_order: int) -> CheckReport:
+def verify_double_egf_pbell(basis: _Basis, y_order: int) -> CheckReport:
     """Cleared double EGF: (e^z-1-y) S(z,y) = (e^z-1) exp(e^z-1) - y e^y.
 
-    S(z,y) = sum_{n,p} B_{n,p} z^n/n! y^p/p!; slices are indexed by the
-    y-power with 1/p! normalization, so multiplying by y sends slice q-1 to
-    q times itself at q.
+    S(z,y) = sum_{n,p} B_{n,p} z^n/n! y^p/p! to z-order ``basis.order``; its
+    slices are indexed by the y-power with 1/p! normalization, so multiplying
+    by y sends slice q-1 to q times itself at q.
     """
+    z_order, w = basis.order, basis.power(1)
     params = {"z_order": z_order, "y_order": y_order}
-    w = egf_em1(z_order)
     slices = [pbell_egf(q, z_order) for q in range(y_order + 1)]
-    lhs, rhs = [], []
-    for q in range(y_order + 1):
-        left = egf_mul(w, slices[q])
-        if q >= 1:
-            left = left - slices[q - 1].scale(q)
-        lhs.append(left)
-        if q == 0:
-            rhs.append(egf_mul(w, egf_exp(w)))
-        else:
-            rhs.append(egf_constant(-q, z_order))
+    lhs = [egf_mul(w, slices[0])]
+    lhs += [egf_mul(w, slices[q]) - slices[q - 1].scale(q) for q in range(1, y_order + 1)]
+    rhs = [egf_mul(w, basis.exp_w)]
+    rhs += [egf_constant(-q, z_order) for q in range(1, y_order + 1)]
     return _bivariate_report("double-egf-pbell", params, lhs, rhs)
 
 
-def verify_double_egf_polybell(z_order: int, y_order: int) -> CheckReport:
-    """sum_{n,p} B_n^(-p) z^n/n! y^p/p! = exp((y+1)(e^z-1)): slice p of the
-    right side is (e^z-1)^p exp(e^z-1)."""
+def verify_double_egf_polybell(basis: _Basis, y_order: int) -> CheckReport:
+    """sum_{n,p} B_n^(-p) z^n/n! y^p/p! = exp((y+1)(e^z-1)) to z-order
+    ``basis.order``: slice p of the right side is (e^z-1)^p exp(e^z-1)."""
+    z_order = basis.order
     params = {"z_order": z_order, "y_order": y_order}
-    w = egf_em1(z_order)
-    exp_w = egf_exp(w)
     lhs = [
         EgfSeries([polybell_neg(n, q) for n in range(z_order + 1)]) for q in range(y_order + 1)
     ]
-    rhs = _ladder(exp_w, w, y_order)
+    rhs = [egf_mul(basis.exp_w, basis.power(q)) for q in range(y_order + 1)]
     return _bivariate_report("double-egf-polybell", params, lhs, rhs)
 
 
-def verify_derivative_operator_form(p: int, order: int) -> CheckReport:
+def verify_derivative_operator_form(p: int, basis: _Basis) -> CheckReport:
     """f_p = (-1)^{p-1} p exp(e^z-1) (e^{-z} d/dz)^{p-1} [(1-exp(1-e^z))/(e^z-1)].
 
     Each application of e^{-z} d/dz costs one order of truncation, so the
     comparison runs to order - (p-1), which must stay >= 1.
     """
+    order = basis.order
     if p < 1:
         raise ValueError("the operator form needs p >= 1")
     if order - (p - 1) < 1:
         raise ValueError(f"order {order} leaves no coefficients after {p - 1} derivatives")
     params = {"p": p, "order": order, "compare_order": order - (p - 1)}
-    # One guard order for the enclosed division by w, so the final comparison
-    # still reaches order - (p - 1).
-    big = order + 1
-    w = egf_em1(big)
-    numerator = egf_constant(1, big) - egf_exp(w.scale(-1))
-    g = egf_div(numerator, w)
-    e_minus_z = egf_exp_rz(-1, big)
-    for _ in range(p - 1):
-        g = egf_mul(e_minus_z, egf_derivative(g))
-    operator_side = egf_mul(egf_exp(w), g).scale(Fraction((-1) ** (p - 1) * p))
+    operator_side = egf_mul(basis.exp_w, basis.chain(p)).scale(Fraction((-1) ** (p - 1) * p))
     f = pbell_egf(p, operator_side.order)
     return _series_report("egf-derivative-operator", params, f, operator_side)
 
 
-def verify_incomplete_gamma_form(p: int, order: int) -> CheckReport:
+def verify_incomplete_gamma_form(p: int, basis: _Basis) -> CheckReport:
     """Lower-incomplete-gamma representation of f_p, in two layers.
 
-    Symbolic layer: substitute the closed form
-    gamma(p, w) = (p-1)! (1 - e^{-w} sum_{j<p} w^j/j!) (integer p) into
+    Symbolic layer: substitute the closed form gamma(p, w) = (p-1)! P(p, w),
+    P(p, w) = 1 - e^{-w} sum_{j<p} w^j/j! (integer p), into
     f_p = p e^w w^{-p} gamma(p, w) and compare the cleared identity exactly.
     Numeric layer: evaluate both sides as floats at z = 1/2.
     """
     if p < 1:
         raise ValueError("the incomplete-gamma form needs p >= 1")
+    order = basis.order
     params = {"p": p, "order": order, "z0": "1/2"}
-    w = egf_em1(order)
-    w_pow = [egf_constant(1, order), *_ladder(w, w, p - 1)]
-    exp_w = egf_exp(w)
     f = pbell_egf(p, order)
-    lhs = egf_mul(w_pow[p], f)
+    lhs = egf_mul(basis.power(p), f)
     partial_sum = egf_constant(0, order)
     for j in range(p):
-        partial_sum = partial_sum + w_pow[j].scale(Fraction(1, factorial(j)))
-    gamma_series = (egf_constant(1, order) - egf_mul(egf_exp(w.scale(-1)), partial_sum)).scale(
-        factorial(p - 1)
-    )
-    rhs = egf_mul(exp_w, gamma_series).scale(p)
+        partial_sum = partial_sum + basis.power(j).scale(Fraction(1, factorial(j)))
+    regularized = egf_constant(1, order) - egf_mul(basis.exp_minus_w, partial_sum)
+    rhs = egf_mul(basis.exp_w, regularized).scale(factorial(p))
     report = _series_report("incomplete-gamma-form", params, lhs, rhs)
     if not report.passed:
         return report
@@ -449,23 +457,24 @@ def thread_count() -> int:
 
 
 def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], CheckReport]]]:
+    basis = _Basis(order)
     jobs: list[tuple[str, Callable[[], CheckReport]]] = []
     for p in range(p_max + 1):
         jobs.append(("egf-definition", lambda p=p: verify_egf_definition(p, order)))
     for p in range(1, p_max + 1):
-        jobs.append(("egf-closed-form", lambda p=p: verify_closed_forms(p, order)))
+        jobs.append(("egf-closed-form", lambda p=p: verify_closed_forms(p, basis)))
     for p in range(1, p_max + 1):
         jobs.append(("egf-step-recurrence", lambda p=p: verify_step_recurrence(p, order)))
     for p in range(p_max + 1):
         jobs.append(("egf-three-term", lambda p=p: verify_three_term_contiguous(p, order)))
-    jobs.append(("double-egf-pbell", lambda: verify_double_egf_pbell(order, p_max)))
-    jobs.append(("double-egf-polybell", lambda: verify_double_egf_polybell(order, p_max)))
+    jobs.append(("double-egf-pbell", lambda: verify_double_egf_pbell(basis, p_max)))
+    jobs.append(("double-egf-polybell", lambda: verify_double_egf_polybell(basis, p_max)))
     for p in range(1, min(p_max, order) + 1):
         jobs.append(
-            ("egf-derivative-operator", lambda p=p: verify_derivative_operator_form(p, order))
+            ("egf-derivative-operator", lambda p=p: verify_derivative_operator_form(p, basis))
         )
     for p in range(1, p_max + 1):
-        jobs.append(("incomplete-gamma-form", lambda p=p: verify_incomplete_gamma_form(p, order)))
+        jobs.append(("incomplete-gamma-form", lambda p=p: verify_incomplete_gamma_form(p, basis)))
     jobs.append(("cross-column-recurrence", lambda: verify_column_recurrence(n_max, p_max)))
     jobs.append(
         (

@@ -56,11 +56,10 @@ class TriangleCache:
 
     ``put((tag, r), row)`` stores a whole row; ``get((tag, r, c))`` and
     ``key in cache`` read one cell of a stored row, and ``rows(tag)`` hands
-    out the tag's map for readers of many cells.  There is no lock: every
-    read and write is one dict operation, which is atomic in CPython, and
-    ``put`` is ``dict.setdefault``, so two threads racing on the same row
-    still observe the same tuple.  ``force`` exists for fault injection in
-    tests and is the only way to change a stored value.
+    out the tag's map for readers of many cells.  ``put`` is
+    ``dict.setdefault``, so a re-sweep of ``pbell._z_rows`` keeps the rows
+    already stored, forced ones included.  ``force`` exists for fault
+    injection in tests and is the only way to change a stored value.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,6 @@ from polybell.exact_core import (
     egf_exp_rz,
     egf_mul,
     egf_z,
-    egf_zero,
     format_rational,
     parse_rational,
     poly_eval,
@@ -256,7 +255,7 @@ def test_series_basics():
     assert s.truncate(1).coeffs == (Fraction(1), Fraction(2))
     with pytest.raises(ValueError):
         s.truncate(5)
-    assert egf_zero(4).valuation() is None
+    assert egf_constant(0, 4).valuation() is None
     assert egf_em1(4).valuation() == 1
 
 
@@ -378,12 +377,12 @@ def test_egf_div_with_valuation_shift():
 
 def test_egf_div_errors():
     with pytest.raises(ZeroDivisionError):
-        egf_div(egf_z(4), egf_zero(4))
+        egf_div(egf_z(4), egf_constant(0, 4))
     # numerator valuation below denominator valuation is not a power series
     with pytest.raises(ValueError):
         egf_div(egf_constant(Fraction(1), 4), egf_em1(4))
     # zero numerator divides cleanly (order drops by the valuation)
-    q = egf_div(egf_zero(4), egf_em1(4))
+    q = egf_div(egf_constant(0, 4), egf_em1(4))
     assert q.order == 3 and q.valuation() is None
 
 
@@ -410,8 +409,11 @@ def test_egf_compose_em1_linear_outer():
 def test_first_difference_reports_smallest_index():
     s = EgfSeries([1, 2, 3, 4])
     t = EgfSeries([1, 2, 7, 4])
-    assert s.first_difference(t, 3) == 2
-    assert s.first_difference(s, 3) is None
+    assert s.first_difference(t) == 2
+    assert s.first_difference(s) is None
+    # only the shared order is compared
+    assert s.first_difference(EgfSeries([1, 2, 7])) == 2
+    assert s.truncate(1).first_difference(t) is None
     # numerators are compared over their own denominators
     assert EgfSeries([1, 2]).first_difference(EgfSeries([Fraction(1, 3), Fraction(2, 3)])) == 0
     u = EgfSeries([1, Fraction(1, 2), Fraction(1, 3)])
@@ -536,11 +538,11 @@ def test_equal_series_built_by_different_routes_are_equal_and_hash_equal(cs):
 
 def test_canonical_form_of_constructed_series():
     assert egf_exp(egf_z(6)) == egf_exp_rz(1, 6) == EgfSeries([1] * 7)
-    assert egf_em1(5) - egf_em1(5) == egf_zero(5)
-    assert hash(egf_zero(3).scale(Fraction(5, 7))) == hash(egf_zero(3))
+    assert egf_em1(5) - egf_em1(5) == egf_constant(0, 5)
+    assert hash(egf_constant(0, 3).scale(Fraction(5, 7))) == hash(egf_constant(0, 3))
     assert egf_constant("4/6", 2) == EgfSeries([Fraction(2, 3), 0, 0])
     assert EgfSeries([1, Fraction(1, 2)]).truncate(0) == egf_constant(1, 0)
-    assert egf_z(0) == egf_zero(0)
+    assert egf_z(0) == egf_constant(0, 0)
 
 
 def test_egf_compose_em1_reads_no_cache():

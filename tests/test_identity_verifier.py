@@ -9,6 +9,7 @@ from polybell.exact_core import format_rational, parse_rational
 from polybell.identity_verifier import (
     IDENTITY_IDS,
     CheckReport,
+    _Basis,
     run_all,
     thread_count,
     verify_column_recurrence,
@@ -97,7 +98,7 @@ def test_suite_runs_serially(monkeypatch):
     assert all(r.passed for r in run_all(n_max=8, p_max=3, order=8))
 
 
-def test_serial_and_parallel_runs_agree():
+def test_cold_and_warm_cache_runs_agree():
     # determinism: a cold run and a warm run give the same reports
     cold = run_all(n_max=8, p_max=3, order=8)
     warm = run_all(n_max=8, p_max=3, order=8)
@@ -106,7 +107,7 @@ def test_serial_and_parallel_runs_agree():
 
 def test_poisoned_triangle_is_reported_with_first_difference():
     CACHE.force(("s2", 6, 3), Fraction(91))
-    report = verify_double_egf_polybell(12, 5)
+    report = verify_double_egf_polybell(_Basis(12), 5)
     assert not report.passed
     assert "first difference at (n=6, p=0)" in report.detail
     assert "lhs=" in report.detail and "rhs=" in report.detail
@@ -161,26 +162,48 @@ def test_planted_row_sum_fault_is_reported_in_lowest_terms(monkeypatch):
     assert report.detail == "first failing case at (n=3): lhs=22, rhs=176/7"
 
 
-def test_egf_checks_build_one_power_ladder(monkeypatch):
-    # (e^z-1)^k is built once per check, one egf_mul per power (519 calls
-    # when each power came from its own egf_pow)
-    real = exact_core.egf_mul
+def _count_calls(monkeypatch, name):
+    real = getattr(exact_core, name)
     calls = []
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(None)
-        return real(a, b)
+        return real(*args)
 
-    monkeypatch.setattr(exact_core, "egf_mul", counting)
-    monkeypatch.setattr(identity_verifier, "egf_mul", counting)
+    monkeypatch.setattr(exact_core, name, counting)
+    monkeypatch.setattr(identity_verifier, name, counting)
+    return calls
+
+
+def test_egf_checks_build_one_power_ladder(monkeypatch):
+    # (e^z-1)^k is built once per run, one egf_mul per power (519 calls when
+    # each power came from its own egf_pow, 239 when each check built its own)
+    calls = _count_calls(monkeypatch, "egf_mul")
     assert all(r.passed for r in run_all(30, 10, 30))
-    assert len(calls) <= 270
+    assert len(calls) <= 123
+
+
+def test_operator_chain_is_built_once_per_run(monkeypatch):
+    # g_p = e^{-z} g'_{p-1} for p = 2..p_max, one derivative each (45 when the
+    # check for each p applied the operator p - 1 times from scratch)
+    calls = _count_calls(monkeypatch, "egf_derivative")
+    assert all(r.passed for r in run_all(30, 10, 30))
+    assert len(calls) == 9
+
+
+def test_shared_series_are_built_only_when_read(monkeypatch):
+    calls = _count_calls(monkeypatch, "egf_exp")
+    _Basis(30)
+    assert all(r.passed for r in run_all(30, 10, 30, only=["egf-definition"]))
+    assert calls == []
+    run_all(30, 10, 30, only=["egf-closed-form", "egf-derivative-operator"])
+    assert len(calls) == 2  # exp(w), then exp(-w) one order up for the chain
 
 
 def test_derivative_operator_needs_enough_order():
     with pytest.raises(ValueError):
-        verify_derivative_operator_form(8, 6)
-    report = verify_derivative_operator_form(3, 10)
+        verify_derivative_operator_form(8, _Basis(6))
+    report = verify_derivative_operator_form(3, _Basis(10))
     assert report.passed
     assert report.params["compare_order"] == 8
 
