@@ -33,7 +33,8 @@ from .numeric_bridge import (
     mgf_check,
     pmf_check,
 )
-from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, pbell_column, pbell_columns, pbell_number
+from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, _from_numerators, _pbell_numerators
+from .pbell import pbell_column, pbell_number
 from .polybell import polybell_neg, polybell_neg_columns, polybell_neg_derivative
 from .special_numbers import reset_cache
 
@@ -54,36 +55,31 @@ def _rational_or_float(text: str):
 # table rendering
 
 
-def _binomial_cell(c: int, a: int, b: int) -> str:
-    """``format_rational(c * Fraction(a, b))`` for a/b in lowest terms: only gcd(c, b) can cancel."""
-    g = gcd(c, b)
-    return f"{c // g * a}/{b // g}" if b != g else str(c // g * a)
+def _cell(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for den > 0, with one gcd and no ``Fraction``."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
-def render_table(
-    kind: str,
-    n_max: int,
-    p_max: int,
-    backend: PBellBackend = DEFAULT_BACKEND,
-    fmt: str = "csv",
-) -> str:
+def render_table(kind: str, n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND,
+                 fmt: str = "csv") -> str:
     """The full table as text (trailing newline included)."""
     if n_max < 0 or p_max < (kind == "polybell-neg"):  # its columns are the orders -1..-p_max
         raise ValueError(f"table bounds out of range for {kind}, got nmax={n_max}, pmax={p_max}")
     if kind == "pbell-numbers":
-        labels, rows = range(p_max + 1), zip(*pbell_columns(n_max, p_max, backend))
+        ws = enumerate(_pbell_numerators(n_max, p_max, backend))
+        labels, rows = range(p_max + 1), zip(*(_from_numerators(w, p, _cell) for p, w in ws))
     elif kind == "polybell-neg":
-        labels, rows = range(-1, -p_max - 1, -1), zip(*polybell_neg_columns(n_max, p_max)[1:])
+        labels = range(-1, -p_max - 1, -1)
+        rows = (map(str, row) for row in zip(*polybell_neg_columns(n_max, p_max)[1:]))
     elif kind == "pbell-poly-coeffs":
         # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}, zero for k > n
         ratios = [b.as_integer_ratio() for b in pbell_column(n_max, p_max, backend)]
         labels = range(n_max + 1)
-        rows = ([_binomial_cell(comb(n, k), *ratios[n - k]) for k in range(n + 1)] + ["0"] * (n_max - n)
+        rows = ([_cell(comb(n, k) * a, b) for k, (a, b) in enumerate(ratios[n::-1])] + ["0"] * (n_max - n)
                 for n in labels)
     else:
         raise ValueError(f"unknown table kind {kind!r}")
-    if kind != "pbell-poly-coeffs":
-        rows = (map(format_rational, row) for row in rows)
     col_key = "k" if kind == "pbell-poly-coeffs" else "p"
     if fmt == "csv":
         lines = [f"n\\{col_key}," + ",".join(map(str, labels))]

@@ -36,8 +36,8 @@ from operator import mul
 from typing import Callable
 
 from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
-from .special_numbers import CACHE, _check_indices, _gen_bernoulli_columns
-from .special_numbers import bell_number, bernoulli, stirling2, weighted_stirling_poly
+from .special_numbers import CACHE, _bell_column, _check_indices, _gen_bernoulli_columns
+from .special_numbers import bernoulli, stirling2, weighted_stirling_poly
 
 __all__ = [
     "PBellBackend",
@@ -79,10 +79,7 @@ class BackendMismatch(Exception):
 def pbell_explicit(n: int, p: int) -> Fraction:
     """B_{n,p} = sum_k C(k+p,k)^{-1} {n,k}."""
     _check_indices(n, p)
-    return sum(
-        (Fraction(1, comb(k + p, k)) * stirling2(n, k) for k in range(n + 1)),
-        Fraction(0),
-    )
+    return sum(Fraction(1, comb(k + p, k)) * stirling2(n, k) for k in range(n + 1))
 
 
 def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
@@ -109,10 +106,10 @@ def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
     return _from_numerators([row[0] for row in rows], p)
 
 
-def _from_numerators(column: list[int], p: int) -> list[Fraction]:
-    """[B_{r,p}] from the integers B_{r,p} (r+p)!/p!, over a running denominator."""
+def _from_numerators(column: list[int], p: int, cell: Callable = Fraction) -> list:
+    """[cell(w, den)] for the integers w = B_{r,p} (r+p)!/p! over their running denominators."""
     dens = accumulate(range(p + 1, p + len(column)), mul, initial=1)
-    return [Fraction(w, den) for w, den in zip(column, dens)]
+    return [cell(w, den) for w, den in zip(column, dens)]
 
 
 def pbell_recurrence(n: int, p: int) -> Fraction:
@@ -155,7 +152,8 @@ def pbell_gen_bernoulli(n: int, p: int) -> Fraction:
     for k, (column, den) in enumerate(_gen_bernoulli_columns(n + p, p)):
         if k:
             tail += Fraction(comb(p, k) * column[n + k], comb(n + k, k) * den)
-    head = sum(comb(n + p, k) * bell_number(n + p - k) * c for k, c in enumerate(column))
+    phi = _bell_column(n + p)
+    head = sum(comb(n + p, k) * phi[n + p - k] * c for k, c in enumerate(column))
     return Fraction(head, comb(n + p, p) * den) - tail
 
 
@@ -167,12 +165,8 @@ _BACKEND_FN: dict[PBellBackend, Callable[[int, int], Fraction]] = {
 }
 
 
-def pbell_number(
-    n: int,
-    p: int,
-    backend: PBellBackend = DEFAULT_BACKEND,
-    cross_check: bool = False,
-) -> Fraction:
+def pbell_number(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND,
+                 cross_check: bool = False) -> Fraction:
     """B_{n,p} via the chosen backend.
 
     With ``cross_check`` every backend is evaluated and any disagreement
@@ -199,21 +193,28 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
     return [fn(r, p) for r in range(n_max + 1)]
 
 
-def pbell_columns(n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[list[Fraction]]:
-    """[pbell_column(n_max, p, backend) for p = 0..p_max] from one backend column: on the
-    integers W_{n,p} = B_{n,p} (n+p)!/p!, order 0 is n! phi_n, order 1 the backend's column to
-    row n_max + p_max - 1, and each higher order one row shorter by the order relation of
-    ``polybell``: W_{n,j+1} = ((n+j)(n+j+1) W_{n,j-1} - (j-1)(n+j+1) W_{n,j} - W_{n+1,j}) / j."""
+def _pbell_numerators(n_max: int, p_max: int, backend: PBellBackend) -> list[list[int]]:
+    """The columns of ``pbell_columns`` as integers: on W_{n,p} = B_{n,p} (n+p)!/p!, order 0 is
+    n! phi_n, order 1 the backend's column to row n_max + p_max - 1 (``ztriangle``'s read as
+    integers), and each higher order one row shorter by the order relation of ``polybell``:
+    W_{n,j+1} = ((n+j)(n+j+1) W_{n,j-1} - (j-1)(n+j+1) W_{n,j} - W_{n+1,j}) / j."""
     _check_indices(n_max, p_max)
     facts = list(accumulate(range(1, n_max + p_max + 1), mul, initial=1))
-    ws = [[bell_number(n) * f for n, f in enumerate(facts)]]
-    if p_max:
+    ws = [list(map(mul, _bell_column(n_max + p_max), facts))]
+    if p_max and backend is PBellBackend.Z_TRIANGLE:
+        ws.append(_z_rows(n_max + p_max - 1, 1))
+    elif p_max:
         ones = pbell_column(n_max + p_max - 1, 1, backend)
         ws.append([int(b * f) for b, f in zip(ones, facts[1:])])
     for j in range(1, p_max):
         ws.append([((n + j + 1) * ((n + j) * low - (j - 1) * mid) - up) // j
                    for n, (low, mid, up) in enumerate(zip(ws[j - 1], ws[j], ws[j][1:]))])
-    return [_from_numerators(w[: n_max + 1], p) for p, w in enumerate(ws)]
+    return [w[: n_max + 1] for w in ws]
+
+
+def pbell_columns(n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[list[Fraction]]:
+    """[pbell_column(n_max, p, backend) for p = 0..p_max], over the integers of ``_pbell_numerators``."""
+    return [_from_numerators(w, p) for p, w in enumerate(_pbell_numerators(n_max, p_max, backend))]
 
 
 def pbell_egf(p: int, order: int) -> EgfSeries:
@@ -225,13 +226,8 @@ def pbell_ramanujan_p1(n: int) -> Fraction:
     """Ramanujan's Bernoulli-number form of the p = 1 column:
     B_{n,1} = sum_k C(n,k) phi_{k+1} B_{n-k} / (k+1)."""
     _check_indices(n, 0)
-    return sum(
-        (
-            Fraction(comb(n, k), k + 1) * bell_number(k + 1) * bernoulli(n - k)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    phi = _bell_column(n + 1)
+    return sum(Fraction(comb(n, k), k + 1) * phi[k + 1] * bernoulli(n - k) for k in range(n + 1))
 
 
 def pbell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polynomial:
@@ -246,13 +242,7 @@ def pbell_poly_weighted(n: int, p: int, x: RationalLike) -> Fraction:
     sum_k C(k+p,k)^{-1} S_n^k(x)."""
     _check_indices(n, p)
     xv = rational(x)
-    return sum(
-        (
-            Fraction(1, comb(k + p, k)) * poly_eval(weighted_stirling_poly(n, k), xv)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    return sum(Fraction(1, comb(k + p, k)) * poly_eval(weighted_stirling_poly(n, k), xv) for k in range(n + 1))
 
 
 def zpoly_triangle(n: int, p: int, x: RationalLike) -> Fraction:
@@ -262,8 +252,5 @@ def zpoly_triangle(n: int, p: int, x: RationalLike) -> Fraction:
     xv = rational(x)
     row = [Fraction(1)] * (n + 1)
     for _ in range(n):
-        row = [
-            Fraction(m + 1, m + p + 1) * row[m + 1] + (m + xv) * row[m]
-            for m in range(len(row) - 1)
-        ]
+        row = [Fraction(m + 1, m + p + 1) * row[m + 1] + (m + xv) * row[m] for m in range(len(row) - 1)]
     return row[0]

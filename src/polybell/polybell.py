@@ -25,7 +25,7 @@ from math import comb, factorial, perm
 
 from .exact_core import Polynomial, poly_eval
 from .pbell import pbell_number, pbell_poly
-from .special_numbers import _check_indices, bell_number, bell_poly, stirling2, stirling2_row
+from .special_numbers import _bell_column, _check_indices, bell_number, bell_poly, stirling2, stirling2_row
 
 __all__ = [
     "polybell_pos",
@@ -55,7 +55,7 @@ def polybell_neg_columns(n_max: int, p_max: int) -> list[list[int]]:
     """[[B_n^(-p) for n = 0..n_max] for p = 0..p_max], from the Bell numbers alone
     by the order relation at k = -p, one row shorter per step and with no division."""
     _check_indices(n_max, p_max)
-    cols = [[bell_number(n) for n in range(n_max + p_max + 1)]]
+    cols = [_bell_column(n_max + p_max)]
     for p in range(p_max):  # at p = 0, cols[p - 1] is cols[0], under the weight p = 0
         cols.append([up - (p + 1) * d - p * low for d, up, low in zip(cols[p], cols[p][1:], cols[p - 1])])
     return [col[: n_max + 1] for col in cols]

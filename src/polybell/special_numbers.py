@@ -5,8 +5,10 @@ relatives, Bernoulli and higher-order Bernoulli numbers, and Bell
 numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
 ``int``s, Bernoulli numbers exact ``Fraction``s, each memoized in one shared
 write-once cache mapping a tag to rows filled in order by ``fill_rows``; a
-reader of many cells takes the tag's map once through ``rows(tag)``.  Row n of
-tag ``bell:p`` is ``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
+reader of many cells takes the tag's map once through ``rows(tag)``.  Bell
+numbers come from Aitken's array, of which only the last two rows are held
+whole (a fill racing another still reads its last row whole).  Row n
+of tag ``bell:p`` is ``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
 Higher-order Bernoulli numbers are swept from the Bernoulli column, not stored.
 
 Conventions
@@ -30,6 +32,7 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .exact_core import Polynomial, _over_lcm
@@ -59,7 +62,8 @@ class TriangleCache:
     out the tag's map for readers of many cells.  ``put`` is
     ``dict.setdefault``, so a re-sweep of ``pbell._z_rows`` keeps the rows
     already stored, forced ones included.  ``force`` exists for fault
-    injection in tests and is the only way to change a stored value.
+    injection in tests and is the only way to change a stored value.  The
+    ``bell`` step for row r cuts row r-2 to (phi_{r-2},), so memory stays O(n).
     """
 
     def __init__(self) -> None:
@@ -231,10 +235,22 @@ def bell_poly(n: int) -> Polynomial:
 
 
 def _bell_step(tag: str, r: int, prev: tuple) -> tuple:
-    return (sum(stirling2_row(r)),)
+    """Row r of Aitken's array (OEIS A011971), starting at phi_r.  Row r-2 is cut to
+    (phi_{r-2},): a fill that reads it as its last row builds a row already stored."""
+    if r > 1:
+        rows = CACHE.rows(tag)
+        rows[r - 2] = rows[r - 2][:1]
+    return tuple(accumulate(prev, initial=prev[-1])) if r else (1,)
 
 
 def bell_number(n: int) -> int:
     """Bell number phi_n = number of partitions of an n-set."""
     _check_indices(n, 0)
     return CACHE.fill_rows(_BELL, n, _bell_step)[0]
+
+
+def _bell_column(n_max: int) -> list[int]:
+    """[phi_0, ..., phi_{n_max}], from one fill and one read of the row map."""
+    bell_number(n_max)
+    rows = CACHE.rows(_BELL)
+    return [rows[n][0] for n in range(n_max + 1)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polybell.cli import _binomial_cell, build_parser, main, render_table
+from polybell.cli import _cell, build_parser, main, render_table
 from polybell.exact_core import format_rational, parse_rational, poly_eval
 from polybell.pbell import pbell_poly
 from polybell.special_numbers import CACHE
@@ -243,10 +243,11 @@ def test_table_poly_coeffs_match_fraction_products_at_benchmark_size():
 @example(6, -5, 1)  # b = 1
 @example(12, -7, 4)  # b divides c: an integer, with no "/1"
 @example(4, 3, 8)
-def test_binomial_cell_is_the_reduced_product(c, a, b):
+def test_cell_is_the_reduced_fraction(c, a, b):
+    assert _cell(c * a, b) == format_rational(Fraction(c * a, b))
     g = math.gcd(a, b)
-    a, b = a // g, b // g  # a/b in lowest terms, as the column holds it
-    text = _binomial_cell(c, a, b)
+    a, b = a // g, b // g  # a/b in lowest terms, as a pbell-poly-coeffs column holds it
+    text = _cell(c * a, b)
     assert text == format_rational(c * Fraction(a, b))
     assert ("/" in text) == (c % b != 0)
 
@@ -299,6 +300,23 @@ def test_render_table_agrees_from_a_warm_cache_and_across_backends():
         for name in ("explicit", "recurrence", "ztriangle", "genbernoulli")
     }
     assert len(set(tables.values())) == 1
+
+
+def test_pbell_numbers_table_reads_no_stirling_row():
+    render_table("pbell-numbers", 60, 6)
+    assert CACHE.rows("s2") == {}
+
+
+@pytest.mark.parametrize("backend", ["explicit", "recurrence", "ztriangle", "genbernoulli"])
+def test_pbell_numbers_cells_match_the_fraction_columns(backend):
+    from polybell.pbell import PBellBackend, pbell_columns
+
+    n_max, p_max = 60, 6
+    rows = [list(map(format_rational, row)) for row in zip(*pbell_columns(n_max, p_max, PBellBackend(backend)))]
+    csv = ["n\\p," + ",".join(map(str, range(p_max + 1)))] + [f"{n}," + ",".join(row) for n, row in enumerate(rows)]
+    assert render_table("pbell-numbers", n_max, p_max, PBellBackend(backend)) == "\n".join(csv) + "\n"
+    cells = [{"n": n, "p": p, "value": text} for n, row in enumerate(rows) for p, text in enumerate(row)]
+    assert json.loads(render_table("pbell-numbers", n_max, p_max, PBellBackend(backend), "json")) == cells
 
 
 # ---------------------------------------------------------------------------

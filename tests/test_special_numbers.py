@@ -19,6 +19,7 @@ from polybell.pbell import pbell_column
 from polybell.special_numbers import (
     CACHE,
     TriangleCache,
+    _bell_column,
     bell_number,
     bell_poly,
     bernoulli,
@@ -400,10 +401,77 @@ def test_one_column_families_put_each_cell_once(monkeypatch):
         bernoulli(n)
         gen_bernoulli(n, 4)
         bell_number(n)
-    tags = ["bernoulli", "bell", "s2"]
+    tags = ["bernoulli", "bell"]  # Bell numbers come from Aitken's array, not from Stirling rows
     assert set(cache.puts) == {(tag, r) for r in range(31) for tag in tags}
     assert set(cache.puts.values()) == {1}
-    assert all((tag, r, 0) in cache and (tag, r, 1) not in cache for tag, r in cache.puts if tag != "s2")
+    whole = {("bell", 29), ("bell", 30)}  # the last two Aitken rows
+    assert all((key + (0,) in cache) and (key + (1,) in cache) == (key in whole) for key in cache.puts)
+
+
+# ---------------------------------------------------------------------------
+# Bell numbers from Aitken's array
+
+
+def test_aitken_bell_numbers_are_the_stirling_row_sums():
+    sums = [sum(stirling2_row(n)) for n in range(301)]
+    CACHE.clear()
+    assert _bell_column(300) == sums
+    assert [bell_number(n) for n in range(301)] == sums
+
+
+def test_bell_fill_resumes_from_the_last_aitken_row():
+    bell_number(50)
+    warm = bell_number(120)
+    CACHE.clear()
+    assert bell_number(120) == warm
+
+
+def test_only_the_last_two_bell_rows_are_held_whole():
+    bell_number(40)
+    bell_number(75)
+    rows = CACHE.rows("bell")
+    assert sorted(rows) == list(range(76))
+    assert all(len(rows[r]) == 1 for r in range(74)) and len(rows[74]) == 75 and len(rows[75]) == 76
+    assert CACHE.rows("s2") == {}
+
+
+def test_racing_bell_fills_read_whole_rows():
+    # a fill builds row r from row r-1 whole, so a step may cut only a row that
+    # no racing fill can still read as its last; a step that cut row r-1 in
+    # place of r-2 stored wrong rows in most runs of this test
+    clean = [sum(stirling2_row(n)) for n in range(201)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            CACHE.clear()
+            results: dict = {}
+            threads = [
+                threading.Thread(target=lambda n=n: results.update({n: bell_number(n)}))
+                for n in range(20, 201, 20)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == {n: clean[n] for n in range(20, 201, 20)}
+            assert _bell_column(200) == clean
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_forced_bell_cell_before_fill_spreads():
+    clean = _bell_column(20)
+    CACHE.clear()
+    CACHE.force(("bell", 10, 0), 7)
+    forced = [bell_number(n) for n in range(21)]
+    assert forced[:10] == clean[:10] and forced[10] == 7
+    # phi_11 is the last entry of row 10, which the plant does not reach; phi_12
+    # sums row 10, so it moves by exactly the planted difference
+    assert forced[11] == clean[11]
+    assert forced[12] - clean[12] == 7 - clean[10]
+    assert all(f != c for f, c in zip(forced[12:], clean[12:]))
 
 
 def test_gen_bernoulli_against_series_powers():
