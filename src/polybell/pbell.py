@@ -16,7 +16,7 @@ Four independent computation routes are provided and cross-checked:
                                   - p/(p+1) B_{n,p+1},
                       run on the integers V_{n,p} = B_{n,p} (n+p)!/p!;
 * ``ztriangle``    -- the triangle Z_{n+1,m} = (m+1)/(m+p+1) Z_{n,m+1} + m Z_{n,m}
-                      with Z_{0,m} = 1 and B_{n,p} = Z_{n,0} (the fast route);
+                      with Z_{0,m} = 1 and B_{n,p} = Z_{n,0} (the fast route, cached by antidiagonals);
 * ``genbernoulli`` -- a closed form through Bell numbers and higher-order
                       Bernoulli numbers, swept in the order by Nörlund's recurrence.
 
@@ -36,8 +36,8 @@ from operator import mul
 from typing import Callable
 
 from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
-from .special_numbers import CACHE, _bell_column, _check_indices, _gen_bernoulli_columns
-from .special_numbers import bernoulli, stirling2, weighted_stirling_poly
+from .special_numbers import CACHE, _bell_column, _check_indices, _column, _column_step
+from .special_numbers import _gen_bernoulli_columns, bernoulli, stirling2, weighted_stirling_poly
 
 __all__ = [
     "PBellBackend",
@@ -117,30 +117,28 @@ def pbell_recurrence(n: int, p: int) -> Fraction:
     return _recurrence_table(n, p)[n]
 
 
-def _z_rows(n_max: int, p: int) -> list[int]:
-    """[W_{0,0}, ..., W_{n_max,0}] for the triangle at order p: the p-column
-    of B as the integers W_{n,0} = B_{n,p} (n+p)!/p!, kept as rows n of the
-    tag ``bell:p`` of the shared cache.  A call past the stored rows sweeps
-    again from row 0 in O(n_max^2); ``put`` keeps the rows already stored.
+def _z_step(p: int):
+    """Fill step of ``bell:p``: row d from row d-1, from its end W_{0,d} = 1 (see ``_z_rows``)."""
+    def step(d: int, prev: tuple) -> tuple:
+        row, w = [1] * (d + 1), 1
+        for m in range(len(prev) - 1, -1, -1):
+            w = row[m] = (m + 1) * w + m * (d + p) * prev[m]
+        return tuple(row)
+    return _column_step(step)
 
-    The sweep is fraction-free: W_{n,m} = Z_{n,m} (m+n+p)!/(m+p)! is an
-    integer with W_{0,m} = 1 and
-    W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}.
-    """
-    tag = f"bell:{p}"
-    stored = CACHE.rows(tag)
-    if n_max < len(stored):
-        return [stored[n][0] for n in range(n_max + 1)]
-    row, out = [1] * (n_max + 1), []
-    for n in range(n_max + 1):
-        out += CACHE.put((tag, n), (row[0],))
-        row = [(m + 1) * row[m + 1] + m * (m + n + p + 1) * row[m] for m in range(n_max - n)]
-    return out
+
+def _z_rows(n_max: int, p: int) -> list[int]:
+    """[W_{0,0}, ..., W_{n_max,0}]: the p-column of B as the integers W_{n,0} = B_{n,p} (n+p)!/p!,
+    entry 0 of rows n of the tag ``bell:p`` of the shared cache.  W_{n,m} = Z_{n,m} (m+n+p)!/(m+p)!
+    is an integer with W_{0,m} = 1 and W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}.  Row d
+    is the antidiagonal (W_{d,0}, W_{d-1,1}, ..., W_{0,d}), built from its end by
+    W_{d-m,m} = (m+1) W_{d-m-1,m+1} + m (d+p) W_{d-m-1,m}, so a longer request resumes."""
+    return _column(f"bell:{p}", n_max, _z_step(p))
 
 
 def pbell_z_triangle(n: int, p: int) -> Fraction:
     _check_indices(n, p)
-    return Fraction(CACHE.get((f"bell:{p}", n, 0)) or _z_rows(n, p)[n], perm(n + p, n))
+    return Fraction(CACHE.fill_rows(f"bell:{p}", n, _z_step(p))[0], perm(n + p, n))
 
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:

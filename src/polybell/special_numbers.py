@@ -2,14 +2,13 @@
 
 Stirling numbers of both kinds, their r-shifted and weighted-polynomial
 relatives, Bernoulli and higher-order Bernoulli numbers, and Bell
-numbers/polynomials.  Stirling, r-Stirling and Bell numbers are exact
-``int``s, Bernoulli numbers exact ``Fraction``s, each memoized in one shared
-write-once cache mapping a tag to rows filled in order by ``fill_rows``; a
-reader of many cells takes the tag's map once through ``rows(tag)``.  Bell
-numbers come from Aitken's array, of which only the last two rows are held
-whole (a fill racing another still reads its last row whole).  Row n
-of tag ``bell:p`` is ``pbell``'s integer B_{n,p} (n+p)!/p!, stored by ``put``.
-Higher-order Bernoulli numbers are swept from the Bernoulli column, not stored.
+numbers/polynomials, as exact ``int`` rows memoized in one shared write-once
+cache: a tag maps to rows filled in order by ``fill_rows``, row r from row r-1
+alone, and ``rows(tag)`` hands a reader of many cells the tag's map.  Three
+families are read at entry 0 and hold only their last two rows whole: ``bell``
+(Aitken's array, phi_r), ``bell:p`` (``pbell``'s Z-triangle by antidiagonals)
+and ``bernoulli`` (Seidel-Entringer rows, the zigzag number E_r).  Higher-order
+Bernoulli numbers are swept from the Bernoulli column, not stored.
 
 Conventions
 -----------
@@ -59,11 +58,9 @@ class TriangleCache:
 
     ``put((tag, r), row)`` stores a whole row; ``get((tag, r, c))`` and
     ``key in cache`` read one cell of a stored row, and ``rows(tag)`` hands
-    out the tag's map for readers of many cells.  ``put`` is
-    ``dict.setdefault``, so a re-sweep of ``pbell._z_rows`` keeps the rows
-    already stored, forced ones included.  ``force`` exists for fault
-    injection in tests and is the only way to change a stored value.  The
-    ``bell`` step for row r cuts row r-2 to (phi_{r-2},), so memory stays O(n).
+    out the tag's map for readers of many cells.  ``put`` is ``dict.setdefault``,
+    so of two racing fills the first row stored wins; ``force``, a fault-injection
+    hook for tests, is the only way to change a stored value.
     """
 
     def __init__(self) -> None:
@@ -88,28 +85,27 @@ class TriangleCache:
 
         A fill resumes at the first row not stored, so a stored row is
         returned without calling ``step``.  Cells that ``force`` parked for a
-        row not yet built replace the computed ones before the row is stored,
-        so they feed every later row; ``put`` keeps the first row stored.
-        ``clear`` must not race a fill.
+        row are planted by ``force`` as soon as it is stored, so they feed
+        every later row.  ``clear`` must not race a fill.
         """
         rows = self.rows(tag)
         for r in range(len(rows), n_max + 1):
-            row = step(tag, r, rows.get(r - 1, ()))
-            planted = self._planted.pop((tag, r), None)
-            if planted:
-                row = tuple(planted.get(c, v) for c, v in enumerate(row))
-            self.put((tag, r), row)
+            self.put((tag, r), step(tag, r, rows.get(r - 1, ())))
+            for c, value in self._planted.pop((tag, r), {}).items():
+                self.force((tag, r, c), value)
         return rows[n_max]
 
     def force(self, key: tuple, value) -> None:
         """Test hook: overwrite cell (tag, r, c).  A stored row is replaced
         by a copy holding the value, and rows already built keep theirs; a
         row not yet built takes the value when ``fill_rows`` builds it, so
-        it feeds the rows built after it.  Rows stored by ``put`` alone, such
-        as ``bell:p``, never take a value planted before they were built."""
+        it feeds the rows built after it.  A cell past the end of a stored
+        row, cut or not, raises ``IndexError``."""
         tag, r, c = key
         rows = self.rows(tag)
         if r in rows:
+            if c >= len(rows[r]):
+                raise IndexError(f"no cell {key}: row {r} of {tag!r} has {len(rows[r])}")
             rows[r] = rows[r][:c] + (value,) + rows[r][c + 1 :]
         else:
             self._planted.setdefault((tag, r), {})[c] = value
@@ -127,12 +123,6 @@ class TriangleCache:
 
 
 CACHE = TriangleCache()
-
-_S1 = "s1"
-_S2 = "s2"
-_BERN = "bernoulli"
-_BELL = "bell"
-
 
 def reset_cache() -> None:
     CACHE.clear()
@@ -158,14 +148,14 @@ _s2_step = _r_step(0)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind {n, k}."""
     _check_indices(n, k)
-    return 0 if k > n else CACHE.fill_rows(_S2, n, _s2_step)[k]
+    return 0 if k > n else CACHE.fill_rows("s2", n, _s2_step)[k]
 
 
 def stirling2_row(n: int) -> list[int]:
     """[{n,0}, ..., {n,n}]: a copy of the stored row, so cells planted by
     ``force`` win as they do in :func:`stirling2`."""
     _check_indices(n, 0)
-    return list(CACHE.fill_rows(_S2, n, _s2_step))
+    return list(CACHE.fill_rows("s2", n, _s2_step))
 
 
 def _s1_step(tag: str, r: int, prev: tuple) -> tuple:
@@ -175,7 +165,7 @@ def _s1_step(tag: str, r: int, prev: tuple) -> tuple:
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     _check_indices(n, k)
-    return 0 if k > n else CACHE.fill_rows(_S1, n, _s1_step)[k]
+    return 0 if k > n else CACHE.fill_rows("s1", n, _s1_step)[k]
 
 
 def r_stirling2(n: int, k: int, r: int) -> int:
@@ -192,17 +182,36 @@ def weighted_stirling_poly(n: int, k: int) -> Polynomial:
     return Polynomial([comb(n, i) * stirling2(i, k) for i in range(n, k - 1, -1)])
 
 
-def _bern_step(tag: str, m: int, prev: tuple) -> tuple:
-    if m == 0:
-        return (Fraction(1),)
-    b = CACHE.rows(tag)
-    return (-sum(comb(m + 1, j) * b[j][0] for j in range(m)) / (m + 1),)
+def _column_step(step):
+    """Fill step of a family read at entry 0: row 0 is (1,), row r is ``step(r, row r-1)``
+    and cuts row r-2 to its first entry (a fill that reads a cut row builds a stored one)."""
+    def fill(tag: str, r: int, prev: tuple) -> tuple:
+        if r > 1:
+            rows = CACHE.rows(tag)
+            rows[r - 2] = rows[r - 2][:1]
+        return step(r, prev) if r else (1,)
+    return fill
+
+
+def _column(tag: str, n_max: int, step) -> list[int]:
+    """Entry 0 of rows 0..n_max of ``tag``, from one fill and one read of the row map."""
+    CACHE.fill_rows(tag, n_max, step)
+    rows = CACHE.rows(tag)
+    return [rows[n][0] for n in range(n_max + 1)]
+
+
+# Seidel-Entringer triangle (A008280): row r-1 accumulated from 0, reversed; starts at E_r.
+_zigzag_step = _column_step(lambda r, prev: tuple(accumulate(prev, initial=0))[::-1])
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Bernoulli number B_n (B_1 = -1/2 convention); for even n >= 2, from the
+    tangent number E_{n-1}: B_n = (-1)^(n/2-1) n E_{n-1} / (2^n (2^n - 1))."""
     _check_indices(n, 0)
-    return CACHE.fill_rows(_BERN, n, _bern_step)[0]
+    if n < 2 or n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(int(n == 0))
+    e = CACHE.fill_rows("bernoulli", n - 1, _zigzag_step)[0]
+    return Fraction((-1) ** (n // 2 - 1) * n * e, (1 << 2 * n) - (1 << n))
 
 
 def _gen_bernoulli_columns(n_max: int, alpha: int):
@@ -234,23 +243,16 @@ def bell_poly(n: int) -> Polynomial:
     return Polynomial(stirling2_row(n))
 
 
-def _bell_step(tag: str, r: int, prev: tuple) -> tuple:
-    """Row r of Aitken's array (OEIS A011971), starting at phi_r.  Row r-2 is cut to
-    (phi_{r-2},): a fill that reads it as its last row builds a row already stored."""
-    if r > 1:
-        rows = CACHE.rows(tag)
-        rows[r - 2] = rows[r - 2][:1]
-    return tuple(accumulate(prev, initial=prev[-1])) if r else (1,)
+# Aitken's array (A011971): row r-1 accumulated from its last entry; starts at phi_r.
+_bell_step = _column_step(lambda r, prev: tuple(accumulate(prev, initial=prev[-1])))
 
 
 def bell_number(n: int) -> int:
     """Bell number phi_n = number of partitions of an n-set."""
     _check_indices(n, 0)
-    return CACHE.fill_rows(_BELL, n, _bell_step)[0]
+    return CACHE.fill_rows("bell", n, _bell_step)[0]
 
 
 def _bell_column(n_max: int) -> list[int]:
-    """[phi_0, ..., phi_{n_max}], from one fill and one read of the row map."""
-    bell_number(n_max)
-    rows = CACHE.rows(_BELL)
-    return [rows[n][0] for n in range(n_max + 1)]
+    """[phi_0, ..., phi_{n_max}]."""
+    return _column("bell", n_max, _bell_step)

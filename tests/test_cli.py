@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from polybell.cli import _cell, build_parser, main, render_table
 from polybell.exact_core import format_rational, parse_rational, poly_eval
 from polybell.pbell import pbell_poly
-from polybell.special_numbers import CACHE
+from polybell.special_numbers import CACHE, TriangleCache
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -93,6 +94,35 @@ def test_value_cross_check_catches_a_poisoned_triangle_row(capsys):
     code, _, err = run_cli(capsys, *argv, "--cross-check")
     assert code == 1
     assert "cross-check failed" in err and "ztriangle=1/20160" in err
+
+
+def test_every_cache_family_is_counted_by_the_tracer(capsys, monkeypatch):
+    # the traced benchmark run counts cells by family, the tag text before ":", and
+    # raises KeyError on one that perfbench/tracer.py does not list
+    source = (Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text()
+    families = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CACHE_FAMILIES"
+    )
+    put, tags = TriangleCache.put, set()
+
+    def counted_put(cache, key, row):
+        tags.add(key[0])
+        return put(cache, key, row)
+
+    monkeypatch.setattr(TriangleCache, "put", counted_put)
+    requests = [
+        ["value", "--kind", "pbell", "--n", "12", "--p", "3"],
+        ["value", "--kind", "pbell", "--n", "9", "--p", "2", "--cross-check"],
+        ["table", "--kind", "pbell-numbers", "--nmax", "20", "--pmax", "4"],
+        ["verify", "--nmax", "8", "--pmax", "3", "--order", "8"],
+    ]
+    for argv in requests:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert {"bell", "bell:1", "bell:2", "bell:3", "bernoulli", "s2"} <= tags
+    assert {tag.split(":", 1)[0] for tag in tags} <= set(families)
 
 
 def test_value_polybell_cross_check_names_every_backend(capsys):

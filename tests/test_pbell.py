@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 
+from polybell.cli import main
 from polybell.exact_core import Polynomial, poly_eval
 from polybell.pbell import (
     DEFAULT_BACKEND,
@@ -252,11 +253,33 @@ def test_triangle_call_inside_the_stored_prefix_does_not_sweep(monkeypatch):
 
 def test_longer_triangle_call_keeps_the_stored_rows():
     short = _z_rows(20, 2)
-    CACHE.force(("bell:2", 10, 0), 7)  # a stored row: a re-sweep must not replace it
+    CACHE.force(("bell:2", 10, 0), 7)  # a stored row: the longer fill resumes past it
     longer = _z_rows(40, 2)
     assert longer[10] == 7 and CACHE.get(("bell:2", 10, 0)) == 7
     assert longer[:10] + longer[11:21] == short[:10] + short[11:]
     assert pbell_column(40, 2)[21:] == [pbell_explicit(n, 2) for n in range(21, 41)]
+
+
+def _swept_triangle_column(n_max, p):
+    """W_{0,0}..W_{n_max,0} by the row sweep W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}
+    over a shrinking row: the reference for the antidiagonal rows of ``_z_rows``."""
+    row, out = [1] * (n_max + 1), []
+    for n in range(n_max + 1):
+        out.append(row[0])
+        row = [(m + 1) * row[m + 1] + m * (m + n + p + 1) * row[m] for m in range(n_max - n)]
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 12])
+def test_antidiagonal_rows_match_the_row_sweep(p, monkeypatch):
+    reference = _swept_triangle_column(300, p)
+    assert _z_rows(300, p) == reference
+    reset_cache()
+    assert _z_rows(120, p) == reference[:121]
+    put, puts = CACHE.put, []
+    monkeypatch.setattr(CACHE, "put", lambda key, row: puts.append(key) or put(key, row))
+    assert _z_rows(300, p) == reference  # resumes from the shorter stored column
+    assert puts == [(f"bell:{p}", n) for n in range(121, 301)]
 
 
 def test_reset_cache_drops_the_triangle_columns():
@@ -278,10 +301,17 @@ def test_cross_check_detects_a_poisoned_triangle_row():
     assert values["explicit"] == values["recurrence"] == values["genbernoulli"] == Fraction(235, 12)
 
 
-def test_cell_planted_before_its_triangle_column_is_never_applied():
+def test_cell_planted_before_its_triangle_column_is_applied(capsys):
+    # bell:p rows are built by fill_rows like every other tag, so a parked cell takes its row
+    CACHE.force(("bell:2", 6, 0), 1)  # W_{6,0} = B_{6,2} 8!/2! is 3948
+    assert pbell_column(6, 2)[6] == Fraction(1, 20160)
+    # the left edge W_{d,0} feeds no other cell: its factor m (d+p) is 0
+    assert pbell_column(12, 2)[7:] == [pbell_explicit(n, 2) for n in range(7, 13)]
+    reset_cache()
     CACHE.force(("bell:2", 6, 0), 1)
-    assert pbell_number(6, 2, cross_check=True) == Fraction(235, 12)
-    assert pbell_column(6, 2)[6] == Fraction(235, 12)
+    assert main(["value", "--kind", "pbell", "--n", "6", "--p", "2", "--cross-check"]) == 1
+    err = capsys.readouterr().err
+    assert "cross-check failed" in err and "ztriangle=1/20160" in err and "explicit=235/12" in err
 
 
 def test_recurrence_reads_no_cache():

@@ -1,7 +1,7 @@
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -15,11 +15,13 @@ from polybell.exact_core import (
     egf_z,
     poly_eval,
 )
-from polybell.pbell import pbell_column
+from polybell.pbell import _recurrence_table, _z_rows, pbell_column
 from polybell.special_numbers import (
     CACHE,
     TriangleCache,
     _bell_column,
+    _column,
+    _zigzag_step,
     bell_number,
     bell_poly,
     bernoulli,
@@ -125,6 +127,20 @@ def test_bernoulli_against_series_quotient():
         assert bernoulli(n) == q.coeff(n)
 
 
+def _bernoulli_by_recurrence(n_max: int) -> list[Fraction]:
+    """B_0..B_{n_max} from sum_{j<=m} C(m+1, j) B_j = 0, one Fraction sum per number:
+    the reference for the Seidel-Entringer route of ``bernoulli``."""
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_matches_the_fraction_recurrence():
+    assert [bernoulli(n) for n in range(401)] == _bernoulli_by_recurrence(400)
+    assert all(type(v) is int for row in CACHE.rows("bernoulli").values() for v in row)
+
+
 def test_bernoulli_known_values():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)
@@ -199,6 +215,15 @@ def test_cache_force_overrides_for_tests():
     assert cache.get(("t", 1, 0)) == 4 and cache.get(("t", 1, 1)) == 9
     cache.force(("t", 2, 0), Fraction(7))  # row 2 is not built: parked, not readable
     assert cache.get(("t", 2, 0)) is None
+    with pytest.raises(IndexError, match=r"\('t', 1, 2\)"):
+        cache.force(("t", 1, 2), 0)  # past the end of a stored row
+    cache.force(("t", 3, 4), 0)  # parked past the end of the row that fill_rows builds
+    with pytest.raises(IndexError, match=r"\('t', 3, 4\)"):
+        cache.fill_rows("t", 3, lambda tag, r, prev: (r, r))
+    bell_number(10)
+    with pytest.raises(IndexError, match=r"\('bell', 3, 2\)"):
+        CACHE.force(("bell", 3, 2), 99)  # row 3 is cut to (phi_3,)
+    assert CACHE.rows("bell")[3] == (5,) and bell_number(3) == 5
     cache.clear()
     assert len(cache) == 0
     assert cache.get(("t", 1, 1)) is None
@@ -401,10 +426,12 @@ def test_one_column_families_put_each_cell_once(monkeypatch):
         bernoulli(n)
         gen_bernoulli(n, 4)
         bell_number(n)
-    tags = ["bernoulli", "bell"]  # Bell numbers come from Aitken's array, not from Stirling rows
-    assert set(cache.puts) == {(tag, r) for r in range(31) for tag in tags}
+        _z_rows(n, 2)
+    # B_30 reads the zigzag number E_29, so the bernoulli rows stop one short
+    rows = {"bernoulli": 30, "bell": 31, "bell:2": 31}
+    assert set(cache.puts) == {(tag, r) for tag, n in rows.items() for r in range(n)}
     assert set(cache.puts.values()) == {1}
-    whole = {("bell", 29), ("bell", 30)}  # the last two Aitken rows
+    whole = {(tag, r) for tag, n in rows.items() for r in (n - 2, n - 1)}  # the last two rows
     assert all((key + (0,) in cache) and (key + (1,) in cache) == (key in whole) for key in cache.puts)
 
 
@@ -419,27 +446,55 @@ def test_aitken_bell_numbers_are_the_stirling_row_sums():
     assert [bell_number(n) for n in range(301)] == sums
 
 
-def test_bell_fill_resumes_from_the_last_aitken_row():
-    bell_number(50)
-    warm = bell_number(120)
+def _zigzag_numbers(n_max: int) -> list[int]:
+    """E_0..E_{n_max} by 2 E_{n+1} = sum_k C(n,k) E_k E_{n-k} for n >= 1: the reference
+    for the first entries of the Seidel-Entringer rows."""
+    e = [1, 1]
+    for n in range(1, n_max):
+        e.append(sum(comb(n, k) * e[k] * e[n - k] for k in range(n + 1)) // 2)
+    return e[: n_max + 1]
+
+
+# the three families read at entry 0 of their rows: tag -> (that column through the
+# cache, a reference that reads no row of the tag)
+COLUMN_FAMILIES = {
+    "bell": (_bell_column, lambda n: [sum(stirling2_row(k)) for k in range(n + 1)]),
+    "bell:3": (
+        lambda n: _z_rows(n, 3),
+        lambda n: [int(b * perm(k + 3, k)) for k, b in enumerate(_recurrence_table(n, 3))],
+    ),
+    "bernoulli": (lambda n: _column("bernoulli", n, _zigzag_step), _zigzag_numbers),
+}
+
+
+@pytest.mark.parametrize("tag", COLUMN_FAMILIES)
+def test_column_fill_resumes_from_the_last_two_rows(tag):
+    column, reference = COLUMN_FAMILIES[tag]
+    column(50)
+    warm = column(120)
+    assert warm == reference(120)
     CACHE.clear()
-    assert bell_number(120) == warm
+    assert column(120) == warm
 
 
-def test_only_the_last_two_bell_rows_are_held_whole():
-    bell_number(40)
-    bell_number(75)
-    rows = CACHE.rows("bell")
+@pytest.mark.parametrize("tag", COLUMN_FAMILIES)
+def test_only_the_last_two_rows_are_held_whole(tag):
+    column, _ = COLUMN_FAMILIES[tag]
+    column(40)
+    column(75)
+    rows = CACHE.rows(tag)
     assert sorted(rows) == list(range(76))
     assert all(len(rows[r]) == 1 for r in range(74)) and len(rows[74]) == 75 and len(rows[75]) == 76
     assert CACHE.rows("s2") == {}
 
 
-def test_racing_bell_fills_read_whole_rows():
+@pytest.mark.parametrize("tag", COLUMN_FAMILIES)
+def test_racing_column_fills_read_whole_rows(tag):
     # a fill builds row r from row r-1 whole, so a step may cut only a row that
     # no racing fill can still read as its last; a step that cut row r-1 in
     # place of r-2 stored wrong rows in most runs of this test
-    clean = [sum(stirling2_row(n)) for n in range(201)]
+    column, reference = COLUMN_FAMILIES[tag]
+    clean = reference(200)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -447,7 +502,7 @@ def test_racing_bell_fills_read_whole_rows():
             CACHE.clear()
             results: dict = {}
             threads = [
-                threading.Thread(target=lambda n=n: results.update({n: bell_number(n)}))
+                threading.Thread(target=lambda n=n: results.update({n: column(n)[n]}))
                 for n in range(20, 201, 20)
             ]
             for t in threads:
@@ -456,7 +511,7 @@ def test_racing_bell_fills_read_whole_rows():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert results == {n: clean[n] for n in range(20, 201, 20)}
-            assert _bell_column(200) == clean
+            assert column(200) == clean
     finally:
         sys.setswitchinterval(old)
 
@@ -484,11 +539,14 @@ def test_gen_bernoulli_against_series_powers():
 
 
 def test_forced_bernoulli_cell_before_fill_spreads():
-    CACHE.force(("bernoulli", 4, 0), Fraction(1))
-    b = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0), Fraction(1)]
-    b.append(-sum(comb(6, j) * b[j] for j in range(5)) / 6)
-    b.append(-sum(comb(7, j) * b[j] for j in range(6)) / 7)
-    assert bernoulli(4) == 1
-    assert bernoulli(6) == b[6] != Fraction(1, 42)
+    clean = _bernoulli_by_recurrence(40)
+    # the bernoulli rows are Seidel-Entringer rows: row 3 is (E_3, 2, 1, 0) = (2, 2, 1, 0),
+    # so E_4 = E_3 + 3 and E_5 = 4 E_3 + 8, and B_n = (-1)^(n/2-1) n E_{n-1} / (2^n (2^n - 1))
+    CACHE.force(("bernoulli", 3, 0), 7)
+    b4, b6 = Fraction(-4 * 7, 2**4 * (2**4 - 1)), Fraction(6 * (4 * 7 + 8), 2**6 * (2**6 - 1))
+    assert bernoulli(4) == b4 != clean[4]
+    assert bernoulli(6) == b6 != clean[6]
+    assert [bernoulli(n) for n in range(4)] == clean[:4] and bernoulli(5) == 0
+    assert all(bernoulli(n) != clean[n] for n in range(8, 41, 2))
     # Nörlund's step from order 1: B_6^(2) = (1 - 6) B_6 - 6 B_5, clean value -5/42
-    assert gen_bernoulli(6, 2) == (1 - 6) * b[6] - 6 * b[5] != Fraction(-5, 42)
+    assert gen_bernoulli(6, 2) == (1 - 6) * b6 - 6 * bernoulli(5) != Fraction(-5, 42)
