@@ -33,8 +33,7 @@ from .numeric_bridge import (
     mgf_check,
     pmf_check,
 )
-from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, _from_numerators, _pbell_numerators
-from .pbell import pbell_column, pbell_number
+from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, _pbell_numerators, pbell_column, pbell_number
 from .polybell import polybell_neg, polybell_neg_columns, polybell_neg_derivative
 from .special_numbers import reset_cache
 
@@ -67,8 +66,8 @@ def render_table(kind: str, n_max: int, p_max: int, backend: PBellBackend = DEFA
     if n_max < 0 or p_max < (kind == "polybell-neg"):  # its columns are the orders -1..-p_max
         raise ValueError(f"table bounds out of range for {kind}, got nmax={n_max}, pmax={p_max}")
     if kind == "pbell-numbers":
-        ws = enumerate(_pbell_numerators(n_max, p_max, backend))
-        labels, rows = range(p_max + 1), zip(*(_from_numerators(w, p, _cell) for p, w in ws))
+        us, ls = _pbell_numerators(n_max, p_max, backend)
+        labels, rows = range(p_max + 1), zip(*(map(_cell, u, ls[p:]) for p, u in enumerate(us)))
     elif kind == "polybell-neg":
         labels = range(-1, -p_max - 1, -1)
         rows = (map(str, row) for row in zip(*polybell_neg_columns(n_max, p_max)[1:]))

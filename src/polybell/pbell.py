@@ -15,8 +15,8 @@ Four independent computation routes are provided and cross-checked:
                                   - sum_{k=0}^{n-2} C(n,k) (-1)^{n-k} B_{k+1,p}
                                   - p/(p+1) B_{n,p+1},
                       run on the integers V_{n,p} = B_{n,p} (n+p)!/p!;
-* ``ztriangle``    -- the triangle Z_{n+1,m} = (m+1)/(m+p+1) Z_{n,m+1} + m Z_{n,m}
-                      with Z_{0,m} = 1 and B_{n,p} = Z_{n,0} (the fast route, cached by antidiagonals);
+* ``ztriangle``    -- the triangle Z_{n+1,m} = (m+1)/(m+p+1) Z_{n,m+1} + m Z_{n,m}, Z_{0,m} = 1, with
+                      B_{n,p} = Z_{n,0} (the fast route), by antidiagonals of Z_{n,m} lcm(p+1..n+m+p)/C(m+p,m);
 * ``genbernoulli`` -- a closed form through Bell numbers and higher-order
                       Bernoulli numbers, swept in the order by Nörlund's recurrence.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, perm
+from math import comb, gcd, lcm, perm
 from operator import mul
 from typing import Callable
 
@@ -103,13 +103,7 @@ def _recurrence_table(n_max: int, p: int) -> list[Fraction]:
                 h = h * (k + 1 + c) + a * rows[k + 1][j]
             row.append((r + 1 + c) * ((r + 1) * prev[j] - (r + c) * h) - c * prev[j + 1])
         rows.append(row)
-    return _from_numerators([row[0] for row in rows], p)
-
-
-def _from_numerators(column: list[int], p: int, cell: Callable = Fraction) -> list:
-    """[cell(w, den)] for the integers w = B_{r,p} (r+p)!/p! over their running denominators."""
-    dens = accumulate(range(p + 1, p + len(column)), mul, initial=1)
-    return [cell(w, den) for w, den in zip(column, dens)]
+    return [Fraction(row[0], perm(r + p, r)) for r, row in enumerate(rows)]
 
 
 def pbell_recurrence(n: int, p: int) -> Fraction:
@@ -118,27 +112,28 @@ def pbell_recurrence(n: int, p: int) -> Fraction:
 
 
 def _z_step(p: int):
-    """Fill step of ``bell:p``: row d from row d-1, from its end W_{0,d} = 1 (see ``_z_rows``)."""
+    """Fill step of ``bell:p``: row d from row d-1 as one suffix sum from its end U_{0,d} (see ``_z_rows``)."""
     def step(d: int, prev: tuple) -> tuple:
-        row, w = [1] * (d + 1), 1
-        for m in range(len(prev) - 1, -1, -1):
-            w = row[m] = (m + 1) * w + m * (d + p) * prev[m]
-        return tuple(row)
+        scale = prev[-1] * comb(d - 1 + p, d - 1)  # M_{d-1}
+        r = (d + p) // gcd(scale, d + p)  # M_d / M_{d-1}
+        terms = reversed(list(map(mul, range(0, d * r, r), prev)))
+        return tuple(accumulate(terms, initial=scale * r // comb(d + p, d)))[::-1]
     return _column_step(step)
 
 
 def _z_rows(n_max: int, p: int) -> list[int]:
-    """[W_{0,0}, ..., W_{n_max,0}]: the p-column of B as the integers W_{n,0} = B_{n,p} (n+p)!/p!,
-    entry 0 of rows n of the tag ``bell:p`` of the shared cache.  W_{n,m} = Z_{n,m} (m+n+p)!/(m+p)!
-    is an integer with W_{0,m} = 1 and W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}.  Row d
-    is the antidiagonal (W_{d,0}, W_{d-1,1}, ..., W_{0,d}), built from its end by
-    W_{d-m,m} = (m+1) W_{d-m-1,m+1} + m (d+p) W_{d-m-1,m}, so a longer request resumes."""
+    """[U_{0,0}, ..., U_{n_max,0}], U_{n,0} = B_{n,p} M_n over M_n = lcm(p+1..n+p): entry 0 of rows n of
+    the tag ``bell:p``.  Over C(m+p,m) the triangle Z becomes Y_{n+1,m} = Y_{n,m+1} + m Y_{n,m} with
+    Y_{0,m} = 1/C(m+p,m), and U_{n,m} = Y_{n,m} M_{n+m} is an integer: by Kummer's theorem a prime q
+    divides C(m+p,m) once for each q^e at which adding m and p in base q carries, and each such q^e
+    divides one of p+1..m+p.  Row d is the antidiagonal (U_{d,0}, ..., U_{0,d}), from U_{0,d} = M_d /
+    C(d+p,d) by U_{d-m,m} = U_{d-m-1,m+1} + m r U_{d-m-1,m}, r = M_d / M_{d-1}; a longer request resumes."""
     return _column(f"bell:{p}", n_max, _z_step(p))
 
 
 def pbell_z_triangle(n: int, p: int) -> Fraction:
     _check_indices(n, p)
-    return Fraction(CACHE.fill_rows(f"bell:{p}", n, _z_step(p))[0], perm(n + p, n))
+    return Fraction(CACHE.fill_rows(f"bell:{p}", n, _z_step(p))[0], lcm(*range(p + 1, n + p + 1)))
 
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:
@@ -184,35 +179,36 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
     naturally produces whole columns."""
     _check_indices(n_max, p)
     if backend is PBellBackend.Z_TRIANGLE:
-        return _from_numerators(_z_rows(n_max, p), p)
+        return list(map(Fraction, _z_rows(n_max, p), accumulate(range(p + 1, p + n_max + 1), lcm, initial=1)))
     if backend is PBellBackend.DERIVATIVE_RECURRENCE:
         return _recurrence_table(n_max, p)
     fn = _BACKEND_FN[backend]
     return [fn(r, p) for r in range(n_max + 1)]
 
 
-def _pbell_numerators(n_max: int, p_max: int, backend: PBellBackend) -> list[list[int]]:
-    """The columns of ``pbell_columns`` as integers: on W_{n,p} = B_{n,p} (n+p)!/p!, order 0 is
-    n! phi_n, order 1 the backend's column to row n_max + p_max - 1 (``ztriangle``'s read as
-    integers), and each higher order one row shorter by the order relation of ``polybell``:
-    W_{n,j+1} = ((n+j)(n+j+1) W_{n,j-1} - (j-1)(n+j+1) W_{n,j} - W_{n+1,j}) / j."""
+def _pbell_numerators(n_max: int, p_max: int, backend: PBellBackend) -> tuple[list[list[int]], list[int]]:
+    """The columns of ``pbell_columns`` as integers U_{n,p} = B_{n,p} L_{n+p}, L_s = lcm(1..s), and
+    [L_0, ..., L_{n_max+p_max}].  Order 0 is phi_n L_n, order 1 the backend's column (``_z_rows(., 1)``
+    itself, as lcm(2..n+1) = L_{n+1}), and each higher order one row shorter by the order relation of
+    ``polybell``, B_{n,j+1} = (j+1) (j B_{n,j-1} - (j-1) B_{n,j} - B_{n+1,j}) / j, on these scales."""
     _check_indices(n_max, p_max)
-    facts = list(accumulate(range(1, n_max + p_max + 1), mul, initial=1))
-    ws = [list(map(mul, _bell_column(n_max + p_max), facts))]
+    ls = list(accumulate(range(1, n_max + p_max + 1), lcm, initial=1))
+    steps = [1] + [b // a for a, b in zip(ls, ls[1:])]  # L_s / L_{s-1}
+    us = [list(map(mul, _bell_column(n_max + p_max), ls))]
     if p_max and backend is PBellBackend.Z_TRIANGLE:
-        ws.append(_z_rows(n_max + p_max - 1, 1))
+        us.append(_z_rows(n_max + p_max - 1, 1))
     elif p_max:
-        ones = pbell_column(n_max + p_max - 1, 1, backend)
-        ws.append([int(b * f) for b, f in zip(ones, facts[1:])])
-    for j in range(1, p_max):
-        ws.append([((n + j + 1) * ((n + j) * low - (j - 1) * mid) - up) // j
-                   for n, (low, mid, up) in enumerate(zip(ws[j - 1], ws[j], ws[j][1:]))])
-    return [w[: n_max + 1] for w in ws]
+        us.append([int(b * d) for b, d in zip(pbell_column(n_max + p_max - 1, 1, backend), ls[1:])])
+    for j in range(1, p_max):  # s t = L_{n+j+1} / L_{n+j-1}, s = L_{n+j+1} / L_{n+j}
+        us.append([(j + 1) * (j * low * s * t - (j - 1) * mid * s - up) // j
+                   for low, mid, up, s, t in zip(us[j - 1], us[j], us[j][1:], steps[j + 1 :], steps[j:])])
+    return [u[: n_max + 1] for u in us], ls
 
 
 def pbell_columns(n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[list[Fraction]]:
     """[pbell_column(n_max, p, backend) for p = 0..p_max], over the integers of ``_pbell_numerators``."""
-    return [_from_numerators(w, p) for p, w in enumerate(_pbell_numerators(n_max, p_max, backend))]
+    us, ls = _pbell_numerators(n_max, p_max, backend)
+    return [list(map(Fraction, u, ls[p:])) for p, u in enumerate(us)]
 
 
 def pbell_egf(p: int, order: int) -> EgfSeries:

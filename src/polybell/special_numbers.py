@@ -204,24 +204,29 @@ def _column(tag: str, n_max: int, step) -> list[int]:
 _zigzag_step = _column_step(lambda r, prev: tuple(accumulate(prev, initial=0))[::-1])
 
 
+def _bernoulli(n: int, e: int) -> Fraction:
+    """B_n from the zigzag number e = E_{n-1}, which only even n >= 2 read."""
+    if n < 2 or n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(int(n == 0))
+    return Fraction((-1) ** (n // 2 - 1) * n * e, (1 << 2 * n) - (1 << n))
+
+
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention); for even n >= 2, from the
     tangent number E_{n-1}: B_n = (-1)^(n/2-1) n E_{n-1} / (2^n (2^n - 1))."""
     _check_indices(n, 0)
-    if n < 2 or n % 2:
-        return Fraction(-1, 2) if n == 1 else Fraction(int(n == 0))
-    e = CACHE.fill_rows("bernoulli", n - 1, _zigzag_step)[0]
-    return Fraction((-1) ** (n // 2 - 1) * n * e, (1 << 2 * n) - (1 << n))
+    return _bernoulli(n, CACHE.fill_rows("bernoulli", n - 1, _zigzag_step)[0] if n > 1 and n % 2 == 0 else 0)
 
 
 def _gen_bernoulli_columns(n_max: int, alpha: int):
     """Yield (C, den) with B_m^(a) = C[m] / den, m <= n_max, for a = 0..alpha:
-    [1, 0, ...] over 1, the Bernoulli column over its lcm d, then by Nörlund's
-    (1924) recurrence in the order, B_m^(a+1) = (1 - m/a) B_m^(a) - m B_{m-1}^(a),
-    C_m^(a+1) = (a - m) C_m^(a) - a m C_{m-1}^(a) over a! d."""
+    [1, 0, ...] over 1, the Bernoulli column over its lcm d from one read of the zigzag
+    numbers, then by Nörlund's (1924) recurrence in the order, B_m^(a+1) = (1 - m/a) B_m^(a)
+    - m B_{m-1}^(a), C_m^(a+1) = (a - m) C_m^(a) - a m C_{m-1}^(a) over a! d."""
     yield [1] + [0] * n_max, 1
     if alpha:
-        column, den = _over_lcm(map(bernoulli, range(n_max + 1)))
+        zigzag = [0] + (_column("bernoulli", n_max - 1, _zigzag_step) if n_max else [])
+        column, den = _over_lcm(map(_bernoulli, range(n_max + 1), zigzag))
         yield column, den
         for a in range(1, alpha):
             column = [(a - m) * c - a * m * low for m, (c, low) in enumerate(zip(column, [0] + column))]

@@ -93,7 +93,7 @@ def test_value_cross_check_catches_a_poisoned_triangle_row(capsys):
     CACHE.force(("bell:2", 6, 0), 1)
     code, _, err = run_cli(capsys, *argv, "--cross-check")
     assert code == 1
-    assert "cross-check failed" in err and "ztriangle=1/20160" in err
+    assert "cross-check failed" in err and "ztriangle=1/840" in err
 
 
 def test_every_cache_family_is_counted_by_the_tracer(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm, perm
 
 import pytest
 
@@ -10,6 +10,7 @@ from polybell.pbell import (
     DEFAULT_BACKEND,
     BackendMismatch,
     PBellBackend,
+    _pbell_numerators,
     _recurrence_table,
     _z_rows,
     pbell_column,
@@ -91,6 +92,25 @@ def test_order_climb_matches_per_column_sweeps(backend):
         assert pbell_columns(n_max, 8, backend) == [col[: n_max + 1] for col in reference], n_max
     assert pbell_columns(0, 0, backend) == [[1]]
     assert pbell_columns(0, 1, backend) == [[1], [1]]
+
+
+def test_binomials_divide_the_lcm_scale():
+    # the lemma behind the integer scales: C(n+p,n) divides lcm(p+1..n+p), so
+    # B_{n,p} = sum_k {n,k} / C(k+p,k) times lcm(p+1..n+p) is an integer
+    for p in range(13):
+        for n in range(81):
+            scale = lcm(*range(p + 1, n + p + 1))
+            assert scale % comb(n + p, n) == 0, (n, p)
+            assert (pbell_explicit(n, p) * scale).denominator == 1, (n, p)
+
+
+@pytest.mark.parametrize("backend", list(PBellBackend))
+def test_numerator_columns_over_their_lcms_are_the_columns(backend):
+    columns, scales = _pbell_numerators(60, 8, backend)
+    assert len(columns) == 9 and scales == [lcm(*range(1, s + 1)) for s in range(69)]
+    for p, column in enumerate(columns):
+        assert len(column) == 61
+        assert [Fraction(u, lcm(*range(1, n + p + 1))) for n, u in enumerate(column)] == pbell_column(60, p, backend)
 
 
 def test_order_climb_at_the_table_size_stores_only_the_backend_column():
@@ -261,11 +281,14 @@ def test_longer_triangle_call_keeps_the_stored_rows():
 
 
 def _swept_triangle_column(n_max, p):
-    """W_{0,0}..W_{n_max,0} by the row sweep W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m}
-    over a shrinking row: the reference for the antidiagonal rows of ``_z_rows``."""
+    """U_{0,0}..U_{n_max,0} from W_{n,0} = B_{n,p} (n+p)!/p! of the row sweep
+    W_{n+1,m} = (m+1) W_{n,m+1} + m (m+n+p+1) W_{n,m} over a shrinking row, rescaled exactly to
+    U_{n,0} = W_{n,0} lcm(p+1..n+p) / ((n+p)!/p!): the reference for the antidiagonal rows of ``_z_rows``."""
     row, out = [1] * (n_max + 1), []
     for n in range(n_max + 1):
-        out.append(row[0])
+        scale, q = divmod(row[0] * lcm(*range(p + 1, n + p + 1)), perm(n + p, n))
+        assert q == 0, (n, p)
+        out.append(scale)
         row = [(m + 1) * row[m + 1] + m * (m + n + p + 1) * row[m] for m in range(n_max - n)]
     return out
 
@@ -293,25 +316,25 @@ def test_reset_cache_drops_the_triangle_columns():
 
 def test_cross_check_detects_a_poisoned_triangle_row():
     assert pbell_number(6, 2) == Fraction(235, 12)
-    CACHE.force(("bell:2", 6, 0), 1)  # W_{6,0} = B_{6,2} 8!/2! is 3948
+    CACHE.force(("bell:2", 6, 0), 1)  # U_{6,0} = B_{6,2} lcm(3..8) is 16450
     with pytest.raises(BackendMismatch) as exc_info:
         pbell_number(6, 2, cross_check=True)
     values = exc_info.value.values
-    assert values["ztriangle"] == Fraction(1, 20160)
+    assert values["ztriangle"] == Fraction(1, 840)
     assert values["explicit"] == values["recurrence"] == values["genbernoulli"] == Fraction(235, 12)
 
 
 def test_cell_planted_before_its_triangle_column_is_applied(capsys):
     # bell:p rows are built by fill_rows like every other tag, so a parked cell takes its row
-    CACHE.force(("bell:2", 6, 0), 1)  # W_{6,0} = B_{6,2} 8!/2! is 3948
-    assert pbell_column(6, 2)[6] == Fraction(1, 20160)
-    # the left edge W_{d,0} feeds no other cell: its factor m (d+p) is 0
+    CACHE.force(("bell:2", 6, 0), 1)  # U_{6,0} = B_{6,2} lcm(3..8) is 16450
+    assert pbell_column(6, 2)[6] == Fraction(1, 840)
+    # the left edge U_{d,0} feeds no other cell: its factor m r is 0
     assert pbell_column(12, 2)[7:] == [pbell_explicit(n, 2) for n in range(7, 13)]
     reset_cache()
     CACHE.force(("bell:2", 6, 0), 1)
     assert main(["value", "--kind", "pbell", "--n", "6", "--p", "2", "--cross-check"]) == 1
     err = capsys.readouterr().err
-    assert "cross-check failed" in err and "ztriangle=1/20160" in err and "explicit=235/12" in err
+    assert "cross-check failed" in err and "ztriangle=1/840" in err and "explicit=235/12" in err
 
 
 def test_recurrence_reads_no_cache():

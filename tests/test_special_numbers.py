@@ -1,13 +1,15 @@
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial, perm
+from itertools import islice
+from math import comb, factorial, lcm
 
 import pytest
 
 from polybell.exact_core import (
     EgfSeries,
     Polynomial,
+    _over_lcm,
     egf_constant,
     egf_div,
     egf_em1,
@@ -21,6 +23,7 @@ from polybell.special_numbers import (
     TriangleCache,
     _bell_column,
     _column,
+    _gen_bernoulli_columns,
     _zigzag_step,
     bell_number,
     bell_poly,
@@ -148,6 +151,16 @@ def test_bernoulli_known_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     for n in range(3, 20, 2):
         assert bernoulli(n) == 0
+
+
+def test_norlund_sweep_reads_the_bernoulli_column_over_its_lcm():
+    # order 1 of the sweep is built from one read of the zigzag numbers
+    for n in (0, 1, 2, 3, 30, 31, 60):
+        _, order_one = islice(_gen_bernoulli_columns(n, 1), 2)
+        assert order_one == _over_lcm(map(bernoulli, range(n + 1))), n
+    CACHE.clear()
+    assert next(islice(_gen_bernoulli_columns(0, 3), 1, 2)) == ([1], 1)
+    assert CACHE.rows("bernoulli") == {}
 
 
 def test_gen_bernoulli_level_one():
@@ -461,7 +474,7 @@ COLUMN_FAMILIES = {
     "bell": (_bell_column, lambda n: [sum(stirling2_row(k)) for k in range(n + 1)]),
     "bell:3": (
         lambda n: _z_rows(n, 3),
-        lambda n: [int(b * perm(k + 3, k)) for k, b in enumerate(_recurrence_table(n, 3))],
+        lambda n: [int(b * lcm(*range(4, k + 4))) for k, b in enumerate(_recurrence_table(n, 3))],
     ),
     "bernoulli": (lambda n: _column("bernoulli", n, _zigzag_step), _zigzag_numbers),
 }
