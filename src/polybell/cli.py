@@ -6,7 +6,6 @@ Subcommands:
 * ``table``   — CSV or JSON tables of the number families.
 * ``verify``  — run the exact identity suite, one line per check.
 * ``numeric`` — floating-point / Monte Carlo checks, one JSON line each.
-* ``bench``   — time the backends on a column and report peak bit sizes.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or I/O error.
 """
@@ -18,7 +17,6 @@ import decimal
 import functools
 import json
 import sys
-import time
 from fractions import Fraction
 from math import comb, factorial, gcd, inf
 
@@ -35,7 +33,6 @@ from .numeric_bridge import (
 )
 from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, _pbell_numerators, pbell_column, pbell_number
 from .polybell import polybell_neg, polybell_neg_columns, polybell_neg_derivative
-from .special_numbers import reset_cache
 
 __all__ = ["main", "main_entry", "render_table"]
 
@@ -170,7 +167,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_numeric(args) -> int:
-    rng = RngStream(args.seed)
     if args.numeric_check == "dobinski":
         check = dobinski_pbell(args.n, args.p, tol=args.tol)
         params = {"n": args.n, "p": args.p}
@@ -183,53 +179,18 @@ def _cmd_numeric(args) -> int:
         params = {"n": args.n, "p": args.p}
     elif args.numeric_check == "mc":
         x = _rational_or_float(args.x)
-        check = mc_moment_check(args.n, args.p, x, args.samples, rng)
+        check = mc_moment_check(args.n, args.p, x, args.samples, RngStream(args.seed))
         params = {"n": args.n, "p": args.p, "x": args.x, "seed": args.seed}
     elif args.numeric_check == "mgf":
-        check = mgf_check(args.p, args.t, args.samples, rng)
+        check = mgf_check(args.p, args.t, args.samples, RngStream(args.seed))
         params = {"p": args.p, "t": args.t, "seed": args.seed}
     elif args.numeric_check == "pmf":
-        check = pmf_check(args.p, args.k, args.samples, rng)
+        check = pmf_check(args.p, args.k, args.samples, RngStream(args.seed))
         params = {"p": args.p, "k": args.k, "seed": args.seed}
     payload = {"check": args.numeric_check, "params": params, "passed": check.passed}
     payload.update(check.to_json_dict())
     print(json.dumps(payload))
     return 0 if check.passed else 1
-
-
-def _cmd_bench(args) -> int:
-    backends = []
-    for chunk in args.backends.split(","):
-        name = chunk.strip()
-        if not name:
-            continue
-        if name not in _BACKEND_NAMES:
-            print(f"bench: unknown backend {name!r}", file=sys.stderr)
-            return 2
-        backends.append(PBellBackend(name))
-    if not backends:
-        print("bench: no backends given", file=sys.stderr)
-        return 2
-    if args.repeat < 1 or min(args.nmax, args.p) < 0:
-        print("bench: need --nmax >= 0, --p >= 0 and --repeat >= 1", file=sys.stderr)
-        return 2
-    print("backend,nmax,p,repeat,seconds,peak_bits")
-    columns = []
-    for backend in backends:
-        for rep in range(args.repeat):
-            reset_cache()
-            start = time.perf_counter()
-            column = pbell_column(args.nmax, args.p, backend)
-            elapsed = time.perf_counter() - start
-            peak = max(
-                max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in column
-            )
-            print(f"{backend.value},{args.nmax},{args.p},{rep},{elapsed:.6f},{peak}")
-        columns.append(column)
-        if column != columns[0]:
-            print(f"bench: backend {backend.value} disagrees at p={args.p}", file=sys.stderr)
-    return 0 if all(column == columns[0] for column in columns) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     n_pmf.add_argument("--k", type=int, required=True)
     n_pmf.add_argument("--samples", type=int, default=1_000_000)
 
-    for np_ in (n_dob, n_dobp, n_ces, n_mc, n_mgf, n_pmf):
+    for np_ in (n_mc, n_mgf, n_pmf):  # the seeded Monte Carlo checks
         np_.add_argument("--seed", type=int, default=0)
-
-    p_bench = sub.add_parser("bench", help="time the backends on a column of values")
-    p_bench.add_argument("--nmax", type=int, required=True)
-    p_bench.add_argument("--p", type=int, default=1, help="column order")
-    p_bench.add_argument(
-        "--backends",
-        default=",".join(_BACKEND_NAMES),
-        help="comma-separated backend names",
-    )
-    p_bench.add_argument("--repeat", type=int, default=1)
 
     return parser
 
@@ -342,7 +293,6 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
         "numeric": _cmd_numeric,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

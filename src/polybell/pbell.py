@@ -133,7 +133,8 @@ def _z_rows(n_max: int, p: int) -> list[int]:
 
 def pbell_z_triangle(n: int, p: int) -> Fraction:
     _check_indices(n, p)
-    return Fraction(CACHE.fill_rows(f"bell:{p}", n, _z_step(p))[0], lcm(*range(p + 1, n + p + 1)))
+    top = range(max(p + 1, (n + p) // 2 + 1), n + p + 1)  # holds a power-of-two multiple of each k in p+1..n+p
+    return Fraction(CACHE.fill_rows(f"bell:{p}", n, _z_step(p))[0], lcm(*top))
 
 
 def pbell_gen_bernoulli(n: int, p: int) -> Fraction:

@@ -471,6 +471,19 @@ def test_numeric_mc_seed_reproducibility(capsys):
     assert out_c != out_a
 
 
+def test_numeric_seed_only_on_the_seeded_checks(capsys):
+    # dobinski, dobinski-poly and cesaro are deterministic and take no --seed
+    for argv in (("dobinski",), ("dobinski-poly", "--x", "1"), ("cesaro",)):
+        code, out, err = run_cli(capsys, "numeric", *argv, "--n", "3", "--p", "1", "--seed", "1")
+        assert code == 2 and out == "" and "--seed" in err
+    code, out, _ = run_cli(capsys, "numeric", "mc", "--n", "1", "--p", "1", "--x", "0",
+                           "--samples", "1000000", "--seed", "42")  # the README example
+    assert code == 0 and json.loads(out)["params"]["seed"] == 42
+    parser = build_parser()
+    assert parser.parse_args(["numeric", "mgf", "--p", "1", "--t", "1", "--seed", "3"]).seed == 3
+    assert parser.parse_args(["numeric", "pmf", "--p", "1", "--k", "1", "--seed", "3"]).seed == 3
+
+
 def test_numeric_mgf_reports_both_forms(capsys):
     code, out, _ = run_cli(
         capsys, "numeric", "mgf", "--p", "3", "--t", "-0.5", "--samples", "200000"
@@ -528,43 +541,12 @@ def test_numeric_usage_and_domain_errors(capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench
+# retired subcommands
 
 
-def test_bench_cross_backend_agreement(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--nmax", "40", "--p", "2", "--backends", "explicit,ztriangle"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "backend,nmax,p,repeat,seconds,peak_bits"
-    assert len(lines) == 3
-    bits = {line.split(",")[5] for line in lines[1:]}
-    assert len(bits) == 1  # same peak size from both backends
-
-
-def test_bench_trivial_and_repeat(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--nmax", "0", "--p", "0", "--repeat", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    # 4 backends x 3 repeats + header
-    assert len(lines) == 13
-
-
-def test_bench_bad_backend_or_repeat(capsys):
-    code, _, err = run_cli(capsys, "bench", "--nmax", "5", "--backends", "bogus")
-    assert code == 2 and "unknown backend" in err
-    code, _, err = run_cli(capsys, "bench", "--nmax", "5", "--repeat", "0")
-    assert code == 2
-    for argv in (("--nmax", "-1"), ("--nmax", "5", "--p", "-1")):
-        code, out, err = run_cli(capsys, "bench", *argv)
-        assert code == 2 and out == "" and "--nmax >= 0" in err
-
-
-def test_bench_times_a_single_order(capsys):
-    # the whole-table mode is gone: --pmax is a usage error, not an empty pass
-    code, out, err = run_cli(capsys, "bench", "--nmax", "5", "--pmax", "-1")
-    assert code == 2 and out == "" and "--pmax" in err
+def test_bench_is_not_a_subcommand(capsys):
+    code, out, err = run_cli(capsys, "bench", "--nmax", "5")
+    assert code == 2 and out == "" and "invalid choice" in err
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,15 @@ def test_antidiagonal_rows_match_the_row_sweep(p, monkeypatch):
     assert puts == [(f"bell:{p}", n) for n in range(121, 301)]
 
 
+def test_single_values_divide_by_the_full_lcm():
+    # pbell_z_triangle takes lcm(p+1..n+p) from the upper half of the range only;
+    # the lcm over the whole range is the independent reference, n < p included
+    for p in range(17):
+        column = _z_rows(300, p)
+        for n in range(301):
+            assert pbell_z_triangle(n, p) == Fraction(column[n], lcm(*range(p + 1, n + p + 1))), (n, p)
+
+
 def test_reset_cache_drops_the_triangle_columns():
     for p in range(4):
         pbell_column(25, p)
