@@ -31,20 +31,22 @@ from .numeric_bridge import (
     mgf_check,
     pmf_check,
 )
-from .pbell import DEFAULT_BACKEND, BackendMismatch, PBellBackend, _pbell_numerators, pbell_column, pbell_number
+from .pbell import BackendMismatch, _pbell_numerators, pbell_column, pbell_number
 from .polybell import polybell_neg, polybell_neg_columns, polybell_neg_derivative
 
 __all__ = ["main", "main_entry", "render_table"]
 
 _TABLE_KINDS = ("pbell-numbers", "polybell-neg", "pbell-poly-coeffs")
-_BACKEND_NAMES = tuple(b.value for b in PBellBackend)
 
 
 def _rational_or_float(text: str):
     try:
         return parse_rational(text)
     except ValueError:
-        return float(text)
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"--x takes num/den with a nonzero denominator, or a float, not {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +59,19 @@ def _cell(num: int, den: int) -> str:
     return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
-def render_table(kind: str, n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND,
-                 fmt: str = "csv") -> str:
+def render_table(kind: str, n_max: int, p_max: int, fmt: str = "csv") -> str:
     """The full table as text (trailing newline included)."""
     if n_max < 0 or p_max < (kind == "polybell-neg"):  # its columns are the orders -1..-p_max
         raise ValueError(f"table bounds out of range for {kind}, got nmax={n_max}, pmax={p_max}")
     if kind == "pbell-numbers":
-        us, ls = _pbell_numerators(n_max, p_max, backend)
+        us, ls = _pbell_numerators(n_max, p_max)
         labels, rows = range(p_max + 1), zip(*(map(_cell, u, ls[p:]) for p, u in enumerate(us)))
     elif kind == "polybell-neg":
         labels = range(-1, -p_max - 1, -1)
         rows = (map(str, row) for row in zip(*polybell_neg_columns(n_max, p_max)[1:]))
     elif kind == "pbell-poly-coeffs":
         # the coefficient of x^k in B_{n,p}(x) is C(n,k) B_{n-k,p}, zero for k > n
-        ratios = [b.as_integer_ratio() for b in pbell_column(n_max, p_max, backend)]
+        ratios = [b.as_integer_ratio() for b in pbell_column(n_max, p_max)]
         labels = range(n_max + 1)
         rows = ([_cell(comb(n, k) * a, b) for k, (a, b) in enumerate(ratios[n::-1])] + ["0"] * (n_max - n)
                 for n in labels)
@@ -109,9 +110,8 @@ def _approx(value: Fraction) -> str:
 
 
 def _cmd_value(args) -> int:
-    backend = PBellBackend(args.backend)
     if args.p >= 0:
-        value = pbell_number(args.n, args.p, backend, cross_check=args.cross_check)
+        value = pbell_number(args.n, args.p, cross_check=args.cross_check)
         if args.kind == "polybell":
             value /= factorial(args.p)
     elif args.kind == "pbell":
@@ -131,8 +131,7 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    backend = PBellBackend(args.backend)
-    text = render_table(args.kind, args.nmax, args.pmax, backend, args.format)
+    text = render_table(args.kind, args.nmax, args.pmax, args.format)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -209,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--kind", choices=("pbell", "polybell"), required=True)
     p_value.add_argument("--n", type=int, required=True)
     p_value.add_argument("--p", type=int, required=True, help="signed for --kind polybell")
-    p_value.add_argument("--backend", choices=_BACKEND_NAMES, default=DEFAULT_BACKEND.value)
     p_value.add_argument("--cross-check", action="store_true")
     p_value.add_argument("--approx", action="store_true", help="append a float approximation")
 
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="max column order; for pbell-poly-coeffs this is the (single) order p",
     )
-    p_table.add_argument("--backend", choices=_BACKEND_NAMES, default=DEFAULT_BACKEND.value)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None, help="write to a file instead of stdout")
 

@@ -11,8 +11,8 @@ is ``mix64(seed + i * 0x9E3779B97F4A7C15)`` with the standard SplitMix64
 finalizer, mapped to [0, 1) doubles by taking the top 53 bits.  The same seed
 always yields the same sequence.  ``split(j)`` derives the disjoint child
 stream ``mix64(seed XOR mix64((j+1) * 0xC2B2AE3D27D4EB4F))``; Monte Carlo
-loops draw chunk ``j`` from ``split(j)``, which makes the reduction layout a
-pure function of the sample count, independent of any parallelism.
+loops draw chunk ``j`` from ``split(j)``: the chunk layout is a pure function
+of the sample count, so the histogram does not depend on the reduction order.
 
 The beta-Poisson sampler draws lambda ~ Beta(1, p) by inverse CDF
 (lambda = 1 - u^{1/p}, always in [0, 1]) and then Z ~ Poisson(lambda) by

@@ -187,28 +187,26 @@ def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) ->
     return [fn(r, p) for r in range(n_max + 1)]
 
 
-def _pbell_numerators(n_max: int, p_max: int, backend: PBellBackend) -> tuple[list[list[int]], list[int]]:
+def _pbell_numerators(n_max: int, p_max: int) -> tuple[list[list[int]], list[int]]:
     """The columns of ``pbell_columns`` as integers U_{n,p} = B_{n,p} L_{n+p}, L_s = lcm(1..s), and
-    [L_0, ..., L_{n_max+p_max}].  Order 0 is phi_n L_n, order 1 the backend's column (``_z_rows(., 1)``
-    itself, as lcm(2..n+1) = L_{n+1}), and each higher order one row shorter by the order relation of
+    [L_0, ..., L_{n_max+p_max}].  Order 0 is phi_n L_n, order 1 ``_z_rows(., 1)`` itself (as
+    lcm(2..n+1) = L_{n+1}), and each higher order one row shorter by the order relation of
     ``polybell``, B_{n,j+1} = (j+1) (j B_{n,j-1} - (j-1) B_{n,j} - B_{n+1,j}) / j, on these scales."""
     _check_indices(n_max, p_max)
     ls = list(accumulate(range(1, n_max + p_max + 1), lcm, initial=1))
     steps = [1] + [b // a for a, b in zip(ls, ls[1:])]  # L_s / L_{s-1}
     us = [list(map(mul, _bell_column(n_max + p_max), ls))]
-    if p_max and backend is PBellBackend.Z_TRIANGLE:
+    if p_max:
         us.append(_z_rows(n_max + p_max - 1, 1))
-    elif p_max:
-        us.append([int(b * d) for b, d in zip(pbell_column(n_max + p_max - 1, 1, backend), ls[1:])])
     for j in range(1, p_max):  # s t = L_{n+j+1} / L_{n+j-1}, s = L_{n+j+1} / L_{n+j}
         us.append([(j + 1) * (j * low * s * t - (j - 1) * mid * s - up) // j
                    for low, mid, up, s, t in zip(us[j - 1], us[j], us[j][1:], steps[j + 1 :], steps[j:])])
     return [u[: n_max + 1] for u in us], ls
 
 
-def pbell_columns(n_max: int, p_max: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[list[Fraction]]:
-    """[pbell_column(n_max, p, backend) for p = 0..p_max], over the integers of ``_pbell_numerators``."""
-    us, ls = _pbell_numerators(n_max, p_max, backend)
+def pbell_columns(n_max: int, p_max: int) -> list[list[Fraction]]:
+    """[pbell_column(n_max, p) for p = 0..p_max], over the integers of ``_pbell_numerators``."""
+    us, ls = _pbell_numerators(n_max, p_max)
     return [list(map(Fraction, u, ls[p:])) for p, u in enumerate(us)]
 
 

@@ -80,8 +80,7 @@ def test_value_rejects_negative_p_for_pbell(capsys):
 def test_value_cross_check_failure_exits_one(capsys):
     CACHE.force(("s2", 6, 3), Fraction(91))
     code, _, err = run_cli(
-        capsys, "value", "--kind", "pbell", "--n", "6", "--p", "0",
-        "--backend", "explicit", "--cross-check",
+        capsys, "value", "--kind", "pbell", "--n", "6", "--p", "0", "--cross-check",
     )
     assert code == 1
     assert "cross-check failed" in err and "explicit" in err
@@ -128,8 +127,7 @@ def test_every_cache_family_is_counted_by_the_tracer(capsys, monkeypatch):
 def test_value_polybell_cross_check_names_every_backend(capsys):
     CACHE.force(("s2", 6, 3), Fraction(91))
     code, _, err = run_cli(
-        capsys, "value", "--kind", "polybell", "--n", "6", "--p", "0",
-        "--backend", "explicit", "--cross-check",
+        capsys, "value", "--kind", "polybell", "--n", "6", "--p", "0", "--cross-check",
     )
     assert code == 1 and "cross-check failed" in err
     for name in ("explicit", "recurrence", "ztriangle", "genbernoulli"):
@@ -238,7 +236,7 @@ def test_table_poly_coeffs_kind(capsys):
 
 @pytest.mark.parametrize("backend", ["ztriangle", "explicit", "recurrence", "genbernoulli"])
 def test_table_poly_coeffs_match_per_row_polynomials(backend):
-    # one column sweep must give the same cells as one pbell_poly per row, in both formats
+    # one column sweep must give the same cells as one pbell_poly per row, by every route, in both formats
     from polybell.pbell import PBellBackend, pbell_poly
 
     n_max, p = 14, 3
@@ -246,9 +244,9 @@ def test_table_poly_coeffs_match_per_row_polynomials(backend):
     cells = [[format_rational(poly.coeff(k)) for k in range(n_max + 1)] for poly in polys]
     csv = ["n\\k," + ",".join(str(k) for k in range(n_max + 1))]
     csv += (f"{n}," + ",".join(row) for n, row in enumerate(cells))
-    assert render_table("pbell-poly-coeffs", n_max, p, PBellBackend(backend)) == "\n".join(csv) + "\n"
+    assert render_table("pbell-poly-coeffs", n_max, p) == "\n".join(csv) + "\n"
     records = [{"n": n, "k": k, "value": v} for n, row in enumerate(cells) for k, v in enumerate(row)]
-    text = render_table("pbell-poly-coeffs", n_max, p, PBellBackend(backend), "json")
+    text = render_table("pbell-poly-coeffs", n_max, p, "json")
     assert text == json.dumps(records) + "\n"
 
 
@@ -320,16 +318,16 @@ def test_table_out_file_and_write_error(tmp_path, capsys):
 
 
 def test_render_table_agrees_from_a_warm_cache_and_across_backends():
-    from polybell.pbell import PBellBackend
+    from polybell.pbell import PBellBackend, pbell_column
 
     cold = render_table("pbell-numbers", 8, 4)
     warm = render_table("pbell-numbers", 8, 4)
     assert cold == warm
-    tables = {
-        name: render_table("pbell-numbers", 5, 3, PBellBackend(name))
-        for name in ("explicit", "recurrence", "ztriangle", "genbernoulli")
-    }
-    assert len(set(tables.values())) == 1
+    header = "n\\p," + ",".join(map(str, range(4)))
+    for backend in PBellBackend:
+        rows = zip(*(pbell_column(5, p, backend) for p in range(4)))
+        lines = [header] + [f"{n}," + ",".join(map(format_rational, row)) for n, row in enumerate(rows)]
+        assert render_table("pbell-numbers", 5, 3) == "\n".join(lines) + "\n", backend
 
 
 def test_pbell_numbers_table_reads_no_stirling_row():
@@ -339,14 +337,15 @@ def test_pbell_numbers_table_reads_no_stirling_row():
 
 @pytest.mark.parametrize("backend", ["explicit", "recurrence", "ztriangle", "genbernoulli"])
 def test_pbell_numbers_cells_match_the_fraction_columns(backend):
-    from polybell.pbell import PBellBackend, pbell_columns
+    from polybell.pbell import PBellBackend, pbell_column
 
     n_max, p_max = 60, 6
-    rows = [list(map(format_rational, row)) for row in zip(*pbell_columns(n_max, p_max, PBellBackend(backend)))]
+    columns = [pbell_column(n_max, p, PBellBackend(backend)) for p in range(p_max + 1)]
+    rows = [list(map(format_rational, row)) for row in zip(*columns)]
     csv = ["n\\p," + ",".join(map(str, range(p_max + 1)))] + [f"{n}," + ",".join(row) for n, row in enumerate(rows)]
-    assert render_table("pbell-numbers", n_max, p_max, PBellBackend(backend)) == "\n".join(csv) + "\n"
+    assert render_table("pbell-numbers", n_max, p_max) == "\n".join(csv) + "\n"
     cells = [{"n": n, "p": p, "value": text} for n, row in enumerate(rows) for p, text in enumerate(row)]
-    assert json.loads(render_table("pbell-numbers", n_max, p_max, PBellBackend(backend), "json")) == cells
+    assert json.loads(render_table("pbell-numbers", n_max, p_max, "json")) == cells
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +537,10 @@ def test_numeric_usage_and_domain_errors(capsys):
     capsys.readouterr()
     code, _, err = run_cli(capsys, "numeric", "dobinski", "--n", "2", "--p", "0")
     assert code == 2 and "error:" in err
+    for check in ("mc", "dobinski-poly"):  # an --x that parses neither way names the accepted forms
+        code, out, err = run_cli(capsys, "numeric", check, "--n", "2", "--p", "1", "--x", "1/0")
+        assert code == 2 and out == "" and "--x takes num/den with a nonzero denominator, or a float" in err
+        assert "'1/0'" in err, check
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +550,16 @@ def test_numeric_usage_and_domain_errors(capsys):
 def test_bench_is_not_a_subcommand(capsys):
     code, out, err = run_cli(capsys, "bench", "--nmax", "5")
     assert code == 2 and out == "" and "invalid choice" in err
+
+
+def test_backend_is_not_an_option(capsys):
+    # a printed number has one route; --cross-check runs the other three
+    for argv in (
+        ("value", "--kind", "pbell", "--n", "6", "--p", "1", "--backend", "explicit"),
+        ("table", "--kind", "pbell-numbers", "--nmax", "3", "--pmax", "2", "--backend", "recurrence"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
 
 
 # ---------------------------------------------------------------------------

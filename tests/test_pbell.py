@@ -80,18 +80,18 @@ def test_pbell_column_matches_scalar_calls():
 @pytest.mark.parametrize("backend", list(PBellBackend))
 def test_order_climb_matches_per_column_sweeps(backend):
     reset_cache()
-    climbed = pbell_columns(25, 8, backend)
-    # --backend chooses the route of the p = 1 column alone
+    climbed = pbell_columns(25, 8)
+    # only the p = 1 column is swept by the triangle; the higher orders climb from it
     swept = [p for p in range(9) if CACHE.rows(f"bell:{p}")]
-    assert swept == ([1] if backend is PBellBackend.Z_TRIANGLE else [])
+    assert swept == [1]
     reference = [pbell_column(25, p, backend) for p in range(9)]
     assert climbed == reference
     for p_max in range(9):
-        assert pbell_columns(25, p_max, backend) == reference[: p_max + 1], p_max
+        assert pbell_columns(25, p_max) == reference[: p_max + 1], p_max
     for n_max in range(26):
-        assert pbell_columns(n_max, 8, backend) == [col[: n_max + 1] for col in reference], n_max
-    assert pbell_columns(0, 0, backend) == [[1]]
-    assert pbell_columns(0, 1, backend) == [[1], [1]]
+        assert pbell_columns(n_max, 8) == [col[: n_max + 1] for col in reference], n_max
+    assert pbell_columns(0, 0) == [[1]]
+    assert pbell_columns(0, 1) == [[1], [1]]
 
 
 def test_binomials_divide_the_lcm_scale():
@@ -106,7 +106,7 @@ def test_binomials_divide_the_lcm_scale():
 
 @pytest.mark.parametrize("backend", list(PBellBackend))
 def test_numerator_columns_over_their_lcms_are_the_columns(backend):
-    columns, scales = _pbell_numerators(60, 8, backend)
+    columns, scales = _pbell_numerators(60, 8)
     assert len(columns) == 9 and scales == [lcm(*range(1, s + 1)) for s in range(69)]
     for p, column in enumerate(columns):
         assert len(column) == 61
