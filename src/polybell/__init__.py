@@ -9,6 +9,7 @@ integrals, Monte Carlo moments of a beta-mixed Poisson law) in floating
 point.
 """
 
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .exact_core import (
@@ -29,20 +30,6 @@ from .exact_core import (
     parse_rational,
     poly_eval,
     rational,
-)
-from .identity_verifier import CheckReport, IDENTITY_IDS, run_all, thread_count
-from .numeric_bridge import (
-    NumericCheck,
-    RngStream,
-    beta_poisson_batch,
-    cesaro_pbell,
-    dobinski_pbell,
-    dobinski_pbell_poly,
-    hyp1f1,
-    lower_inc_gamma,
-    mc_moment_check,
-    mgf_check,
-    pmf_check,
 )
 from .pbell import (
     DEFAULT_BACKEND,
@@ -86,9 +73,22 @@ from .special_numbers import (
 
 __version__ = "0.1.0"
 
-# Every public name imported above, submodules excluded.
+# The identity suite and the float bridge load on first use (PEP 562), so
+# that `value` and `table` never compile them.
+_LAZY = dict.fromkeys("CheckReport IDENTITY_IDS run_all thread_count".split(), "identity_verifier")
+_LAZY.update(dict.fromkeys("NumericCheck RngStream beta_poisson_batch cesaro_pbell dobinski_pbell dobinski_pbell_poly "
+                           "hyp1f1 lower_inc_gamma mc_moment_check mgf_check pmf_check".split(), "numeric_bridge"))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+
+
+# Every public name, submodules excluded.
 __all__ = ["__version__"] + [
     name
     for name, value in list(globals().items())
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-]
+] + list(_LAZY)

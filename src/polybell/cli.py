@@ -17,20 +17,11 @@ import decimal
 import functools
 import json
 import sys
+from contextlib import suppress
 from fractions import Fraction
-from math import comb, factorial, gcd, inf
+from math import comb, factorial, gcd, inf, isfinite
 
 from .exact_core import format_rational, parse_rational
-from .identity_verifier import IDENTITY_IDS, run_all
-from .numeric_bridge import (
-    RngStream,
-    cesaro_pbell,
-    dobinski_pbell,
-    dobinski_pbell_poly,
-    mc_moment_check,
-    mgf_check,
-    pmf_check,
-)
 from .pbell import BackendMismatch, _pbell_numerators, pbell_column, pbell_number
 from .polybell import polybell_neg, polybell_neg_columns, polybell_neg_derivative
 
@@ -40,13 +31,12 @@ _TABLE_KINDS = ("pbell-numbers", "polybell-neg", "pbell-poly-coeffs")
 
 
 def _rational_or_float(text: str):
-    try:
+    with suppress(ValueError):
         return parse_rational(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            raise ValueError(f"--x takes num/den with a nonzero denominator, or a float, not {text!r}") from None
+    with suppress(ValueError):
+        if isfinite(x := float(text)):
+            return x
+    raise ValueError(f"--x takes num/den with a nonzero denominator, or a float, not {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +135,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .identity_verifier import run_all  # loaded only by the subcommand that runs it
+
     only = None
     if args.only is not None:
         only = [token for chunk in args.only for token in chunk.split(",") if token]
@@ -166,6 +158,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_numeric(args) -> int:
+    from .numeric_bridge import (  # loaded only by the subcommand that runs it
+        RngStream, cesaro_pbell, dobinski_pbell, dobinski_pbell_poly, mc_moment_check, mgf_check, pmf_check,
+    )
+
     if args.numeric_check == "dobinski":
         check = dobinski_pbell(args.n, args.p, tol=args.tol)
         params = {"n": args.n, "p": args.p}
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         metavar="ID",
-        help=f"subset of identity ids (comma or space separated); known: {', '.join(IDENTITY_IDS)}",
+        help="subset of identity ids (comma or space separated); an unknown id's error lists them all",
     )
 
     p_numeric = sub.add_parser("numeric", help="numeric and Monte Carlo checks")
@@ -246,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_dobp = nsub.add_parser("dobinski-poly", help="series estimate of a p-Bell polynomial value")
     n_dobp.add_argument("--n", type=int, required=True)
     n_dobp.add_argument("--p", type=int, required=True)
-    n_dobp.add_argument("--x", required=True, help="evaluation point (num/den or float)")
+    n_dobp.add_argument("--x", required=True, help="evaluation point, num/den or float; write -1/2 as --x=-1/2")
     n_dobp.add_argument("--tol", type=float, default=1e-9)
 
     n_ces = nsub.add_parser("cesaro", help="contour-integral estimate of a p-Bell number")
@@ -257,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_mc = nsub.add_parser("mc", help="Monte Carlo moment check of a polynomial value")
     n_mc.add_argument("--n", type=int, required=True)
     n_mc.add_argument("--p", type=int, required=True)
-    n_mc.add_argument("--x", required=True, help="evaluation point (num/den or float)")
+    n_mc.add_argument("--x", required=True, help="evaluation point, num/den or float; write -1/2 as --x=-1/2")
     n_mc.add_argument("--samples", type=int, default=1_000_000)
 
     n_mgf = nsub.add_parser("mgf", help="Monte Carlo check of the moment generating function")

@@ -403,14 +403,13 @@ def verify_poly_recurrence(n_max: int, p_max: int) -> CheckReport:
     def cases():
         for p in range(p_max + 1):
             polys_p = [pbell_poly(n, p) for n in range(n_max + 2)]
-            polys_p1 = [pbell_poly(n, p + 1) for n in range(n_max + 1)]
+            ratio = Fraction(p, p + 1)
+            corrections = [pbell_poly(k, p + 1) * ratio - polys_p[k] for k in range(n_max + 1)]
             for n in range(n_max + 1):
-                lhs = polys_p[n + 1]
                 acc = x * polys_p[n]
                 for k in range(n + 1):
-                    correction = polys_p1[k] * Fraction(p, p + 1) - polys_p[k]
-                    acc = acc - comb(n, k) * correction
-                yield f"n={n + 1}, p={p}", lhs, acc
+                    acc = acc - comb(n, k) * corrections[k]
+                yield f"n={n + 1}, p={p}", polys_p[n + 1], acc
 
     return _pointwise_report("poly-recurrence", params, cases())
 
@@ -505,7 +504,7 @@ def run_all(
     if only is not None:
         unknown = sorted(set(only) - set(IDENTITY_IDS))
         if unknown:
-            raise KeyError(f"unknown identity ids: {', '.join(unknown)}")
+            raise KeyError(f"unknown identity ids: {', '.join(unknown)}; known: {', '.join(IDENTITY_IDS)}")
     jobs = [job for name, job in _jobs(n_max, p_max, order) if only is None or name in only]
     if not jobs:
         raise ValueError(

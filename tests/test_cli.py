@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polybell.cli import _cell, build_parser, main, render_table
 from polybell.exact_core import format_rational, parse_rational, poly_eval
+from polybell.identity_verifier import IDENTITY_IDS
 from polybell.pbell import pbell_poly
 from polybell.special_numbers import CACHE, TriangleCache
 
@@ -387,6 +388,8 @@ def test_verify_only_comma_separated(capsys):
 def test_verify_unknown_id_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "not-an-id")
     assert code == 2 and "not-an-id" in err
+    # the ids are listed here, not in --help, so building the parser does not load the suite
+    assert all(identity_id in err for identity_id in IDENTITY_IDS)
 
 
 def test_verify_low_order_and_negative_bounds(capsys):
@@ -541,6 +544,24 @@ def test_numeric_usage_and_domain_errors(capsys):
         code, out, err = run_cli(capsys, "numeric", check, "--n", "2", "--p", "1", "--x", "1/0")
         assert code == 2 and out == "" and "--x takes num/den with a nonzero denominator, or a float" in err
         assert "'1/0'" in err, check
+
+
+@pytest.mark.parametrize("check", ["mc", "dobinski-poly"])
+@pytest.mark.parametrize("x", ["inf", "-inf", "nan", "1e999"])
+def test_numeric_non_finite_x_exits_two(capsys, check, x):
+    # these used to exit 2 with "cannot convert Infinity to integer ratio"
+    code, out, err = run_cli(capsys, "numeric", check, "--n", "2", "--p", "1", f"--x={x}")
+    assert code == 2 and out == ""
+    assert f"error: --x takes num/den with a nonzero denominator, or a float, not '{x}'" in err
+
+
+@pytest.mark.parametrize("check", ["mc", "dobinski-poly"])
+def test_numeric_negative_fraction_is_written_with_equals(capsys, check):
+    # argparse reads "--x -1/2" as a missing value, so the help and README give this form
+    samples = ("--samples", "1000") if check == "mc" else ()
+    code, out, _ = run_cli(capsys, "numeric", check, "--n", "2", "--p", "1", "--x=-1/2", *samples)
+    assert code == 0
+    assert json.loads(out)["target"] == "7/12"
 
 
 # ---------------------------------------------------------------------------
