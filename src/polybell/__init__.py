@@ -15,7 +15,6 @@ from types import ModuleType as _ModuleType
 from .exact_core import (
     EgfSeries,
     Polynomial,
-    Rational,
     RationalLike,
     egf_compose_em1,
     egf_constant,
@@ -32,9 +31,8 @@ from .exact_core import (
     rational,
 )
 from .pbell import (
-    DEFAULT_BACKEND,
+    ROUTES,
     BackendMismatch,
-    PBellBackend,
     pbell_column,
     pbell_columns,
     pbell_egf,
@@ -55,8 +53,6 @@ from .polybell import (
     polybell_neg_columns,
     polybell_neg_derivative,
     polybell_neg_row_poly,
-    polybell_poly,
-    polybell_pos,
 )
 from .special_numbers import (
     CACHE,

@@ -2,7 +2,7 @@
 
 Conventions
 -----------
-* ``Rational`` is :class:`fractions.Fraction`: arbitrary precision, always in
+* Rationals are :class:`fractions.Fraction`: arbitrary precision, always in
   lowest terms, denominator positive.  The wire format is ``"num/den"`` with
   plain integers rendered without the ``/1`` (so ``"7"``, ``"-1/2"``, ``"5/6"``).
 * :class:`EgfSeries` stores ``a_k``, the coefficient of ``z^k/k!``, for
@@ -24,12 +24,9 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "rational",
     "format_rational",

@@ -64,7 +64,7 @@ _steps: dict[int, np.ndarray] = {}  # b -> i * _GOLDEN mod 2^64, i = 1 .. b; bui
 class NumericCheck:
     """A numeric estimate against its exact (or closed-form) target.
 
-    ``target`` is a Rational whenever the exact side is rational; the MGF and
+    ``target`` is a Fraction whenever the exact side is rational; the MGF and
     pmf checks compare against transcendental closed forms and store a float.
     ``extra`` carries secondary comparisons (e.g. an alternate printed form)
     and is merged into the JSON serialization.

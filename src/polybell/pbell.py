@@ -7,7 +7,7 @@ The p-Bell number B_{n,p} is defined by the EGF
 
 so B_{n,0} is the Bell number and B_{n,p} = sum_k C(k+p,k)^{-1} {n,k}.
 
-Four independent computation routes are provided and cross-checked:
+Four independent computation routes are kept in ``ROUTES`` and cross-checked:
 
 * ``explicit``     -- the C(k+p,k)^{-1} {n,k} sum above;
 * ``recurrence``   -- a derivative recurrence coupling columns p and p+1:
@@ -16,7 +16,8 @@ Four independent computation routes are provided and cross-checked:
                                   - p/(p+1) B_{n,p+1},
                       run on the integers V_{n,p} = B_{n,p} (n+p)!/p!;
 * ``ztriangle``    -- the triangle Z_{n+1,m} = (m+1)/(m+p+1) Z_{n,m+1} + m Z_{n,m}, Z_{0,m} = 1, with
-                      B_{n,p} = Z_{n,0} (the fast route), by antidiagonals of Z_{n,m} lcm(p+1..n+m+p)/C(m+p,m);
+                      B_{n,p} = Z_{n,0} (the fast route, and the one ``pbell_number``, ``pbell_column``
+                      and ``pbell_poly`` take), by antidiagonals of Z_{n,m} lcm(p+1..n+m+p)/C(m+p,m);
 * ``genbernoulli`` -- a closed form through Bell numbers and higher-order
                       Bernoulli numbers, swept in the order by Nörlund's recurrence.
 
@@ -28,19 +29,17 @@ weighted Stirling polynomials.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm, perm
 from operator import mul
-from typing import Callable
 
 from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
 from .special_numbers import CACHE, _bell_column, _check_indices, _column, _column_step
 from .special_numbers import _gen_bernoulli_columns, bernoulli, stirling2, weighted_stirling_poly
 
 __all__ = [
-    "PBellBackend",
+    "ROUTES",
     "BackendMismatch",
     "pbell_explicit",
     "pbell_recurrence",
@@ -55,16 +54,6 @@ __all__ = [
     "pbell_poly_weighted",
     "zpoly_triangle",
 ]
-
-
-class PBellBackend(Enum):
-    EXPLICIT_STIRLING = "explicit"
-    DERIVATIVE_RECURRENCE = "recurrence"
-    Z_TRIANGLE = "ztriangle"
-    GEN_BERNOULLI = "genbernoulli"
-
-
-DEFAULT_BACKEND = PBellBackend.Z_TRIANGLE
 
 
 class BackendMismatch(Exception):
@@ -151,40 +140,32 @@ def pbell_gen_bernoulli(n: int, p: int) -> Fraction:
     return Fraction(head, comb(n + p, p) * den) - tail
 
 
-_BACKEND_FN: dict[PBellBackend, Callable[[int, int], Fraction]] = {
-    PBellBackend.EXPLICIT_STIRLING: pbell_explicit,
-    PBellBackend.DERIVATIVE_RECURRENCE: pbell_recurrence,
-    PBellBackend.Z_TRIANGLE: pbell_z_triangle,
-    PBellBackend.GEN_BERNOULLI: pbell_gen_bernoulli,
+ROUTES = {
+    "explicit": pbell_explicit,
+    "recurrence": pbell_recurrence,
+    "ztriangle": pbell_z_triangle,
+    "genbernoulli": pbell_gen_bernoulli,
 }
 
 
-def pbell_number(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND,
-                 cross_check: bool = False) -> Fraction:
-    """B_{n,p} via the chosen backend.
+def pbell_number(n: int, p: int, *, cross_check: bool = False) -> Fraction:
+    """B_{n,p} by the ``ztriangle`` route.
 
-    With ``cross_check`` every backend is evaluated and any disagreement
-    raises :class:`BackendMismatch` carrying all computed values.
+    With ``cross_check`` every route of ``ROUTES`` is evaluated and any
+    disagreement raises :class:`BackendMismatch` carrying all computed values.
     """
-    _check_indices(n, p)
     if not cross_check:
-        return _BACKEND_FN[backend](n, p)
-    values = {b.value: fn(n, p) for b, fn in _BACKEND_FN.items()}
+        return pbell_z_triangle(n, p)
+    values = {name: fn(n, p) for name, fn in ROUTES.items()}
     if len(set(values.values())) != 1:
         raise BackendMismatch(n, p, values)
-    return values[backend.value]
+    return values["ztriangle"]
 
 
-def pbell_column(n_max: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> list[Fraction]:
-    """[B_{0,p}, ..., B_{n_max,p}], using a single sweep where the backend
-    naturally produces whole columns."""
+def pbell_column(n_max: int, p: int) -> list[Fraction]:
+    """[B_{0,p}, ..., B_{n_max,p}] by one ``ztriangle`` sweep."""
     _check_indices(n_max, p)
-    if backend is PBellBackend.Z_TRIANGLE:
-        return list(map(Fraction, _z_rows(n_max, p), accumulate(range(p + 1, p + n_max + 1), lcm, initial=1)))
-    if backend is PBellBackend.DERIVATIVE_RECURRENCE:
-        return _recurrence_table(n_max, p)
-    fn = _BACKEND_FN[backend]
-    return [fn(r, p) for r in range(n_max + 1)]
+    return list(map(Fraction, _z_rows(n_max, p), accumulate(range(p + 1, p + n_max + 1), lcm, initial=1)))
 
 
 def _pbell_numerators(n_max: int, p_max: int) -> tuple[list[list[int]], list[int]]:
@@ -223,10 +204,10 @@ def pbell_ramanujan_p1(n: int) -> Fraction:
     return sum(Fraction(comb(n, k), k + 1) * phi[k + 1] * bernoulli(n - k) for k in range(n + 1))
 
 
-def pbell_poly(n: int, p: int, backend: PBellBackend = DEFAULT_BACKEND) -> Polynomial:
+def pbell_poly(n: int, p: int) -> Polynomial:
     """B_{n,p}(x) = sum_k C(n,k) B_{k,p} x^{n-k} (monic, constant term B_{n,p})."""
     _check_indices(n, p)
-    column = pbell_column(n, p, backend)
+    column = pbell_column(n, p)
     return Polynomial([comb(n, d) * column[n - d] for d in range(n + 1)])
 
 

@@ -24,25 +24,16 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exact_core import Polynomial, poly_eval
-from .pbell import pbell_number, pbell_poly
 from .special_numbers import _bell_column, _check_indices, bell_number, bell_poly, stirling2, stirling2_row
 
 __all__ = [
-    "polybell_pos",
     "polybell_neg",
     "polybell_neg_columns",
     "polybell_neg_derivative",
     "polybell_neg_row_poly",
-    "polybell_poly",
     "duality_counterexample",
     "iterated_integral_pbell",
 ]
-
-
-def polybell_pos(n: int, p: int) -> Fraction:
-    """B_n^(p) = B_{n,p}/p! for p >= 0."""
-    _check_indices(n, p)
-    return pbell_number(n, p) / factorial(p)
 
 
 def polybell_neg(n: int, p: int) -> int:
@@ -71,12 +62,6 @@ def polybell_neg_row_poly(n: int) -> Polynomial:
     """The row polynomial sum_p B_n^(-p) y^p/p!, which equals phi_n(1 + y)."""
     columns = polybell_neg_columns(n, n)
     return Polynomial([Fraction(c[n], factorial(p)) for p, c in enumerate(columns)])
-
-
-def polybell_poly(n: int, p: int) -> Polynomial:
-    """The poly-Bell polynomial B_n^(p)(x) = B_{n,p}(x)/p!."""
-    _check_indices(n, p)
-    return pbell_poly(n, p) * Fraction(1, factorial(p))
 
 
 def duality_counterexample() -> tuple[int, int, int, int]:

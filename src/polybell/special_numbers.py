@@ -114,9 +114,6 @@ class TriangleCache:
         self._tags.clear()
         self._planted.clear()
 
-    def __len__(self) -> int:
-        return sum(map(len, self._tags.values()))
-
     def __contains__(self, key: tuple) -> bool:
         tag, r, c = key
         return c < len(self.rows(tag).get(r, ()))

@@ -1,5 +1,6 @@
 import pytest
 
+from polybell.pbell import _recurrence_table, pbell_column, pbell_explicit, pbell_gen_bernoulli
 from polybell.special_numbers import reset_cache
 
 
@@ -10,3 +11,17 @@ def _fresh_cache():
     reset_cache()
     yield
     reset_cache()
+
+
+@pytest.fixture
+def route_column():
+    """``route_column(name, n_max, p)`` is [B_{0,p}, ..., B_{n_max,p}] by the
+    route ``ROUTES[name]``: one sweep where the route builds whole columns,
+    one call per n where it does not."""
+    columns = {
+        "explicit": lambda n_max, p: [pbell_explicit(n, p) for n in range(n_max + 1)],
+        "recurrence": _recurrence_table,
+        "ztriangle": pbell_column,
+        "genbernoulli": lambda n_max, p: [pbell_gen_bernoulli(n, p) for n in range(n_max + 1)],
+    }
+    return lambda name, n_max, p: columns[name](n_max, p)

@@ -13,7 +13,7 @@ from pathlib import Path
 from polybell.cli import main
 from polybell.identity_verifier import IDENTITY_IDS, run_all
 from polybell.numeric_bridge import RngStream, cesaro_pbell, dobinski_pbell, mc_moment_check
-from polybell.pbell import PBellBackend, pbell_column, pbell_poly
+from polybell.pbell import ROUTES, pbell_poly
 from polybell.polybell import duality_counterexample
 from polybell.special_numbers import CACHE
 
@@ -60,16 +60,16 @@ def test_criterion_02_golden_polybell_table(capsys):
         _announce("criterion 2", f"10x4 integer table byte-identical in {elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_03_backend_agreement(capsys):
+def test_criterion_03_backend_agreement(capsys, route_column):
     start = time.perf_counter()
     mismatches = []
-    columns = {b: {} for b in PBellBackend}
+    columns = {route: {} for route in ROUTES}
     for p in range(9):
-        for backend in PBellBackend:
-            columns[backend][p] = pbell_column(25, p, backend)
+        for route in ROUTES:
+            columns[route][p] = route_column(route, 25, p)
     for p in range(9):
         for n in range(26):
-            values = {b.value: columns[b][p][n] for b in PBellBackend}
+            values = {route: columns[route][p][n] for route in ROUTES}
             if len(set(values.values())) != 1:
                 mismatches.append((n, p, values))
     elapsed = time.perf_counter() - start

@@ -235,13 +235,13 @@ def test_table_poly_coeffs_kind(capsys):
     assert lines[4] == "3,14/15,3/2,1,1"
 
 
-@pytest.mark.parametrize("backend", ["ztriangle", "explicit", "recurrence", "genbernoulli"])
-def test_table_poly_coeffs_match_per_row_polynomials(backend):
-    # one column sweep must give the same cells as one pbell_poly per row, by every route, in both formats
-    from polybell.pbell import PBellBackend, pbell_poly
-
+@pytest.mark.parametrize("route", ["ztriangle", "explicit", "recurrence", "genbernoulli"])
+def test_table_poly_coeffs_match_per_row_polynomials(route, route_column):
+    # one column sweep must give the same cells as one pbell_poly per row, whose constant
+    # terms every route gives, in both formats
     n_max, p = 14, 3
-    polys = [pbell_poly(n, p, PBellBackend(backend)) for n in range(n_max + 1)]
+    polys = [pbell_poly(n, p) for n in range(n_max + 1)]
+    assert [poly.coeff(0) for poly in polys] == route_column(route, n_max, p)
     cells = [[format_rational(poly.coeff(k)) for k in range(n_max + 1)] for poly in polys]
     csv = ["n\\k," + ",".join(str(k) for k in range(n_max + 1))]
     csv += (f"{n}," + ",".join(row) for n, row in enumerate(cells))
@@ -318,17 +318,17 @@ def test_table_out_file_and_write_error(tmp_path, capsys):
     assert code == 2 and "cannot write" in err
 
 
-def test_render_table_agrees_from_a_warm_cache_and_across_backends():
-    from polybell.pbell import PBellBackend, pbell_column
+def test_render_table_agrees_from_a_warm_cache_and_across_backends(route_column):
+    from polybell.pbell import ROUTES
 
     cold = render_table("pbell-numbers", 8, 4)
     warm = render_table("pbell-numbers", 8, 4)
     assert cold == warm
     header = "n\\p," + ",".join(map(str, range(4)))
-    for backend in PBellBackend:
-        rows = zip(*(pbell_column(5, p, backend) for p in range(4)))
+    for route in ROUTES:
+        rows = zip(*(route_column(route, 5, p) for p in range(4)))
         lines = [header] + [f"{n}," + ",".join(map(format_rational, row)) for n, row in enumerate(rows)]
-        assert render_table("pbell-numbers", 5, 3) == "\n".join(lines) + "\n", backend
+        assert render_table("pbell-numbers", 5, 3) == "\n".join(lines) + "\n", route
 
 
 def test_pbell_numbers_table_reads_no_stirling_row():
@@ -336,12 +336,10 @@ def test_pbell_numbers_table_reads_no_stirling_row():
     assert CACHE.rows("s2") == {}
 
 
-@pytest.mark.parametrize("backend", ["explicit", "recurrence", "ztriangle", "genbernoulli"])
-def test_pbell_numbers_cells_match_the_fraction_columns(backend):
-    from polybell.pbell import PBellBackend, pbell_column
-
+@pytest.mark.parametrize("route", ["explicit", "recurrence", "ztriangle", "genbernoulli"])
+def test_pbell_numbers_cells_match_the_fraction_columns(route, route_column):
     n_max, p_max = 60, 6
-    columns = [pbell_column(n_max, p, PBellBackend(backend)) for p in range(p_max + 1)]
+    columns = [route_column(route, n_max, p) for p in range(p_max + 1)]
     rows = [list(map(format_rational, row)) for row in zip(*columns)]
     csv = ["n\\p," + ",".join(map(str, range(p_max + 1)))] + [f"{n}," + ",".join(row) for n, row in enumerate(rows)]
     assert render_table("pbell-numbers", n_max, p_max) == "\n".join(csv) + "\n"

@@ -7,9 +7,8 @@ import pytest
 from polybell.cli import main
 from polybell.exact_core import Polynomial, poly_eval
 from polybell.pbell import (
-    DEFAULT_BACKEND,
+    ROUTES,
     BackendMismatch,
-    PBellBackend,
     _pbell_numerators,
     _recurrence_table,
     _z_rows,
@@ -40,10 +39,10 @@ REFERENCE_MATRIX = {
 }
 
 
-@pytest.mark.parametrize("backend", list(PBellBackend))
-def test_reference_matrix(backend):
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_reference_matrix(route):
     for (n, p), text in REFERENCE_MATRIX.items():
-        assert pbell_number(n, p, backend) == Fraction(text), (n, p, backend)
+        assert ROUTES[route](n, p) == Fraction(text), (n, p, route)
 
 
 def test_first_column_is_bell():
@@ -67,24 +66,23 @@ def test_columns_strictly_decrease_in_p():
 def test_backend_pairwise_small_grid():
     for n in range(13):
         for p in range(5):
-            values = {b: pbell_number(n, p, b) for b in PBellBackend}
+            values = {name: fn(n, p) for name, fn in ROUTES.items()}
             assert len(set(values.values())) == 1, (n, p, values)
 
 
-def test_pbell_column_matches_scalar_calls():
-    for backend in PBellBackend:
-        col = pbell_column(9, 2, backend)
-        assert col == [pbell_number(n, 2, backend) for n in range(10)]
+def test_pbell_column_matches_scalar_calls(route_column):
+    for route, fn in ROUTES.items():
+        assert route_column(route, 9, 2) == [fn(n, 2) for n in range(10)], route
 
 
-@pytest.mark.parametrize("backend", list(PBellBackend))
-def test_order_climb_matches_per_column_sweeps(backend):
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_order_climb_matches_per_column_sweeps(route, route_column):
     reset_cache()
     climbed = pbell_columns(25, 8)
     # only the p = 1 column is swept by the triangle; the higher orders climb from it
     swept = [p for p in range(9) if CACHE.rows(f"bell:{p}")]
     assert swept == [1]
-    reference = [pbell_column(25, p, backend) for p in range(9)]
+    reference = [route_column(route, 25, p) for p in range(9)]
     assert climbed == reference
     for p_max in range(9):
         assert pbell_columns(25, p_max) == reference[: p_max + 1], p_max
@@ -104,13 +102,13 @@ def test_binomials_divide_the_lcm_scale():
             assert (pbell_explicit(n, p) * scale).denominator == 1, (n, p)
 
 
-@pytest.mark.parametrize("backend", list(PBellBackend))
-def test_numerator_columns_over_their_lcms_are_the_columns(backend):
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_numerator_columns_over_their_lcms_are_the_columns(route, route_column):
     columns, scales = _pbell_numerators(60, 8)
     assert len(columns) == 9 and scales == [lcm(*range(1, s + 1)) for s in range(69)]
     for p, column in enumerate(columns):
         assert len(column) == 61
-        assert [Fraction(u, lcm(*range(1, n + p + 1))) for n, u in enumerate(column)] == pbell_column(60, p, backend)
+        assert [Fraction(u, lcm(*range(1, n + p + 1))) for n, u in enumerate(column)] == route_column(route, 60, p)
 
 
 def test_order_climb_at_the_table_size_stores_only_the_backend_column():
@@ -199,7 +197,7 @@ def test_integer_triangle_column_matches_explicit():
     # the fraction-free Z-triangle sweep never reads the Stirling triangle; check it
     # against the Stirling sum cell by cell, and its single-value path too
     for p in range(13):
-        column = pbell_column(40, p, PBellBackend.Z_TRIANGLE)
+        column = pbell_column(40, p)
         assert column == [pbell_explicit(n, p) for n in range(41)], p
         assert all(type(c) is Fraction for c in column)
         for n in (0, 1, 17, 40):
@@ -230,7 +228,6 @@ def test_integer_recurrence_matches_fraction_reference():
         assert column == reference, p
         assert all(type(c) is Fraction for c in column)
         assert [pbell_recurrence(n, p) for n in range(41)] == reference, p
-        assert pbell_column(40, p, PBellBackend.DERIVATIVE_RECURRENCE) == reference, p
 
 
 def test_integer_recurrence_matches_triangle_and_explicit():
@@ -320,7 +317,7 @@ def test_reset_cache_drops_the_triangle_columns():
     assert all(("bell:%d" % p, n, 0) in CACHE for p in range(4) for n in range(26))
     reset_cache()
     assert not any(("bell:%d" % p, n, 0) in CACHE for p in range(4) for n in range(26))
-    assert len(CACHE) == 0
+    assert not any(CACHE.rows("bell:%d" % p) for p in range(4))
 
 
 def test_cross_check_detects_a_poisoned_triangle_row():
@@ -360,7 +357,7 @@ def test_cross_check_passes_on_clean_cache():
 def test_cross_check_detects_poisoned_triangle():
     CACHE.force(("s2", 6, 3), Fraction(91))
     with pytest.raises(BackendMismatch) as exc_info:
-        pbell_number(6, 0, PBellBackend.EXPLICIT_STIRLING, cross_check=True)
+        pbell_number(6, 0, cross_check=True)
     message = str(exc_info.value)
     assert "6" in message and "explicit" in message
 
@@ -383,9 +380,25 @@ def test_gen_bernoulli_backend_matches_triangle_past_the_acceptance_grid():
             assert pbell_gen_bernoulli(n, p) == column[n], (n, p)
 
 
-def test_default_backend_is_triangle_sweep():
-    assert DEFAULT_BACKEND is PBellBackend.Z_TRIANGLE
+def test_default_backend_is_triangle_sweep(monkeypatch):
+    # without a cross-check, pbell_number takes the ztriangle route: from a cold
+    # cache it builds rows of bell:p alone, and no Stirling, Bernoulli or Bell row
+    put, tags = CACHE.put, []
+    monkeypatch.setattr(CACHE, "put", lambda key, row: tags.append(key[0]) or put(key, row))
+    assert pbell_number(6, 1) == Fraction(2057, 42)
+    assert tags == ["bell:1"] * 7
+    assert pbell_number(6, 1, cross_check=True) == Fraction(2057, 42)
+    assert {"s2", "bernoulli", "bell"} <= set(tags)
     assert pbell_z_triangle(6, 1) == Fraction(2057, 42)
     assert pbell_explicit(6, 1) == Fraction(2057, 42)
     assert pbell_recurrence(6, 1) == Fraction(2057, 42)
     assert pbell_gen_bernoulli(6, 1) == Fraction(2057, 42)
+
+
+def test_backend_is_not_a_parameter():
+    # one route per value; the cross-check is the way to the other three
+    for fn in (pbell_number, pbell_column, pbell_poly):
+        with pytest.raises(TypeError):
+            fn(6, 1, backend="explicit")
+    with pytest.raises(TypeError):  # a route name where the backend used to go is not read as a cross-check
+        pbell_number(6, 1, "explicit")

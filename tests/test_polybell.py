@@ -4,7 +4,7 @@ from math import factorial, perm
 import pytest
 
 from polybell.exact_core import Polynomial, poly_eval
-from polybell.pbell import pbell_explicit, pbell_number, pbell_poly
+from polybell.pbell import pbell_explicit, pbell_number
 from polybell.polybell import (
     duality_counterexample,
     iterated_integral_pbell,
@@ -12,8 +12,6 @@ from polybell.polybell import (
     polybell_neg_derivative,
     polybell_neg_columns,
     polybell_neg_row_poly,
-    polybell_poly,
-    polybell_pos,
 )
 from polybell.special_numbers import CACHE, bell_number, bell_poly, reset_cache, stirling2
 
@@ -117,17 +115,9 @@ def test_duality_fails_with_recorded_witness():
 
 
 def test_positive_order_scaling():
+    # B_n^(0) = B_{n,0}/0! is the Bell number
     for n in range(10):
-        assert polybell_pos(n, 0) == bell_number(n)
-        for p in range(5):
-            assert polybell_pos(n, p) * factorial(p) == pbell_number(n, p)
-
-
-def test_positive_order_polynomial_scaling():
-    for n in range(7):
-        for p in range(4):
-            scaled = pbell_poly(n, p) * Fraction(1, factorial(p))
-            assert polybell_poly(n, p) == scaled
+        assert pbell_number(n, 0) == bell_number(n)
 
 
 def test_iterated_integral_route():
@@ -141,5 +131,5 @@ def test_degenerate_and_error_cases():
     assert polybell_neg(3, 3) == 6  # 3! {3,3}
     with pytest.raises(ValueError):
         polybell_neg(-1, 1)
-    with pytest.raises(ValueError):
-        polybell_pos(2, -1)
+    with pytest.raises(ValueError):  # B_n^(p) = B_{n,p}/p! has no positive-order p < 0
+        pbell_number(2, -1)

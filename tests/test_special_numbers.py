@@ -218,7 +218,7 @@ def test_cache_put_is_write_once():
     assert cache.get(("t", 1, 1)) == 5
     assert ("t", 1, 1) in cache
     assert ("t", 1, 2) not in cache and cache.get(("t", 1, 2)) is None
-    assert len(cache) == 1
+    assert len(cache.rows("t")) == 1
 
 
 def test_cache_force_overrides_for_tests():
@@ -238,7 +238,7 @@ def test_cache_force_overrides_for_tests():
         CACHE.force(("bell", 3, 2), 99)  # row 3 is cut to (phi_3,)
     assert CACHE.rows("bell")[3] == (5,) and bell_number(3) == 5
     cache.clear()
-    assert len(cache) == 0
+    assert cache.rows("t") == {}
     assert cache.get(("t", 1, 1)) is None
     # clear also drops the parked cell, so a later fill computes row 2 afresh
     assert cache.fill_rows("t", 2, lambda tag, r, prev: (r, r)) == (2, 2)
@@ -407,11 +407,11 @@ def test_cache_clear_forgets_complete_rows():
         raise AssertionError(f"row {r} of {tag} was built again")
 
     assert cache.fill_rows("t", 3, step) == (30, 31, 32, 33)
-    assert len(cache) == 4 and cache.get(("t", 3, 2)) == 32
+    assert len(cache.rows("t")) == 4 and cache.get(("t", 3, 2)) == 32
     assert cache.fill_rows("t", 2, boom) == (20, 21, 22)  # a stored row calls no step
     cache.clear()
     assert cache.fill_rows("t", 1, step) == (10, 11)
-    assert len(cache) == 2 and cache.get(("t", 0, 0)) == 0
+    assert len(cache.rows("t")) == 2 and cache.get(("t", 0, 0)) == 0
 
 
 def test_stored_reads_make_no_per_cell_get(monkeypatch):
