@@ -24,7 +24,6 @@ from .exact_core import (
     egf_exp,
     egf_exp_rz,
     egf_mul,
-    egf_z,
     format_rational,
     parse_rational,
     poly_eval,
@@ -44,7 +43,6 @@ from .pbell import (
     pbell_ramanujan_p1,
     pbell_recurrence,
     pbell_z_triangle,
-    zpoly_triangle,
 )
 from .polybell import (
     duality_counterexample,
@@ -52,7 +50,6 @@ from .polybell import (
     polybell_neg,
     polybell_neg_columns,
     polybell_neg_derivative,
-    polybell_neg_row_poly,
 )
 from .special_numbers import (
     CACHE,

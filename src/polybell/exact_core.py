@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -35,7 +36,6 @@ __all__ = [
     "poly_eval",
     "EgfSeries",
     "egf_constant",
-    "egf_z",
     "egf_exp_rz",
     "egf_em1",
     "egf_mul",
@@ -293,11 +293,6 @@ def egf_constant(c: RationalLike, order: int) -> EgfSeries:
     return _series([cn] + [0] * order, cd)
 
 
-def egf_z(order: int) -> EgfSeries:
-    """The monomial z (EGF coefficients 0, 1, 0, 0, ...)."""
-    return _series([int(k == 1) for k in range(order + 1)], 1)
-
-
 def egf_exp_rz(r: RationalLike, order: int) -> EgfSeries:
     """exp(r z): coefficients r^k, as p^k q^(order-k) over q^order for r = p/q."""
     p, q = _num_den(r)
@@ -378,14 +373,22 @@ def egf_derivative(a: EgfSeries) -> EgfSeries:
 def egf_compose_em1(outer_coeffs: Sequence[RationalLike], order: int) -> EgfSeries:
     """sum_k c_k (e^z - 1)^k truncated at the given order.
 
-    Only k <= order contributes.  The coefficient of z^n/n! is sum_k c_k T(n, k),
-    T(n, k) = k! S(n, k) = k (T(n-1, k-1) + T(n-1, k)), built here row by row so
-    that the result does not read the Stirling cache of ``special_numbers``.
+    Only k <= order contributes.  The coefficient of z^n/n! is sum_k c_k T(n, k)
+    over the rows of ``_em1_rows``, which read no Stirling cache of ``special_numbers``.
     """
-    cs, den = _over_lcm(outer_coeffs)
-    nums, row = [], [1]
-    for n in range(order + 1):
-        if n:
-            row = [0] + [k * (row[k - 1] + (row[k] if k < n else 0)) for k in range(1, n + 1)]
-        nums.append(sum(c * t for c, t in zip(cs, row)))
-    return _series(nums, den)
+    return _compose_em1(*_over_lcm(outer_coeffs), _em1_rows(order))
+
+
+def _em1_rows(order: int) -> list[list[int]]:
+    """Rows 0..order of T(n, k) = k! S(n, k) = k (T(n-1, k-1) + T(n-1, k)), the
+    coefficient of z^n/n! in (e^z - 1)^k, built here row by row."""
+    rows = [[1]]
+    for n in range(1, order + 1):
+        row = rows[-1]
+        rows.append([0] + [k * (row[k - 1] + (row[k] if k < n else 0)) for k in range(1, n + 1)])
+    return rows
+
+
+def _compose_em1(cs: Sequence[int], den: int, rows: Sequence[Sequence[int]]) -> EgfSeries:
+    """sum_k (cs[k] / den) (e^z - 1)^k to the order of ``rows`` (``_em1_rows``)."""
+    return _series([sum(map(mul, cs, row)) for row in rows], den)

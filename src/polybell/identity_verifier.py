@@ -9,6 +9,10 @@ Dual-route discipline: the two sides of each check are built along different
 computation routes (e.g. backend values vs. pure series algebra), so a defect
 planted in one shared table surfaces as a localized first difference.
 
+One ``_Basis`` per run builds what the EGF checks share, once: the powers of
+w = e^z - 1, exp(w), exp(-w), the operator chain, the column series f_q, w f_q
+and w^q f_q, and the rows k! {n,k} of the ``egf-definition`` composition.
+
 Identities covered, by id
 -------------------------
 * ``egf-definition``        f_p(z) = sum_k C(k+p,k)^{-1} (e^z-1)^k / k!
@@ -55,9 +59,10 @@ from typing import Callable, Iterable, Sequence
 from .exact_core import (
     EgfSeries,
     Polynomial,
+    _compose_em1,
+    _em1_rows,
     _over_lcm,
     egf_constant,
-    egf_compose_em1,
     egf_derivative,
     egf_div,
     egf_em1,
@@ -68,7 +73,7 @@ from .exact_core import (
 )
 from .numeric_bridge import hyp1f1, lower_inc_gamma
 from .pbell import pbell_column, pbell_egf, pbell_poly, pbell_ramanujan_p1
-from .polybell import iterated_integral_pbell, polybell_neg, polybell_neg_columns
+from .polybell import _iterated_integrals, polybell_neg, polybell_neg_columns
 from .special_numbers import bell_poly, r_stirling2, stirling1
 
 __all__ = [
@@ -169,14 +174,21 @@ def _cleared_report(
 
 
 class _Basis:
-    """Series the EGF checks of one run share, each built on first read and kept:
-    the powers of w = e^z - 1 and exp(w) at ``order``; exp(-w) and the operator
-    chain g_k one guard order up, so the chain's division by w keeps ``order``."""
+    """What the EGF checks of one run share, each built on first read and kept.
+    At ``order``: the powers of w = e^z - 1, exp(w), the column series
+    f_q = pbell_egf(q, order) with the products w f_q and w^q f_q, and the rows
+    T(n, k) = k! {n,k} of the (e^z-1)-composition.  One guard order up: exp(-w)
+    and the operator chain g_k, so the chain's division by w keeps ``order``."""
 
     def __init__(self, order: int):
         self.order = order
         self._powers: list[EgfSeries] = []
         self._chain: list[EgfSeries] = []
+        self._f: dict[tuple[int, int], EgfSeries] = {}
+
+    @cached_property
+    def em1_rows(self) -> list[list[int]]:
+        return _em1_rows(self.order)
 
     @cached_property
     def exp_w(self) -> EgfSeries:
@@ -194,6 +206,12 @@ class _Basis:
             self._powers.append(egf_mul(self._powers[-1], self._powers[1]))
         return self._powers[k]
 
+    def f(self, q: int, k: int = 0) -> EgfSeries:
+        """w^k f_q; the checks read k = 0, 1 and q."""
+        if (q, k) not in self._f:
+            self._f[q, k] = egf_mul(self.power(k), self.f(q)) if k else pbell_egf(q, self.order)
+        return self._f[q, k]
+
     def chain(self, k: int) -> EgfSeries:
         """g_k = (e^{-z} d/dz)^{k-1} [(1-exp(-w))/w] to order + 1 - k, for k >= 1."""
         if not self._chain:
@@ -205,12 +223,13 @@ class _Basis:
         return self._chain[k - 1]
 
 
-def verify_egf_definition(p: int, order: int) -> CheckReport:
-    """Compare the (e^z-1)-composition route against backend values."""
-    outer = [Fraction(1, comb(k + p, p) * factorial(k)) for k in range(order + 1)]
-    lhs = egf_compose_em1(outer, order)
-    rhs = pbell_egf(p, order)
-    return _series_report("egf-definition", {"p": p, "order": order}, lhs, rhs)
+def verify_egf_definition(p: int, basis: _Basis) -> CheckReport:
+    """Compare the (e^z-1)-composition route against backend values: the outer
+    coefficients 1/(C(k+p,p) k!) = p!/(k+p)! are (order+p)!/(k+p)! over (order+p)!/p!."""
+    order = basis.order
+    outer = [perm(order + p, order - k) for k in range(order + 1)]
+    lhs = _compose_em1(outer, perm(order + p, order), basis.em1_rows)
+    return _series_report("egf-definition", {"p": p, "order": order}, lhs, basis.f(p))
 
 
 def verify_closed_forms(p: int, basis: _Basis) -> CheckReport:
@@ -219,8 +238,7 @@ def verify_closed_forms(p: int, basis: _Basis) -> CheckReport:
         raise ValueError("the closed form needs p >= 1")
     order, exp_w = basis.order, basis.exp_w
     params = {"p": p, "order": order}
-    f = pbell_egf(p, order)
-    lhs = egf_mul(basis.power(p), f)
+    f, lhs = basis.f(p), basis.f(p, p)
     rhs = exp_w.scale(factorial(p))
     for k in range(1, p + 1):
         rhs = rhs - basis.power(p - k).scale(perm(p, k))
@@ -241,24 +259,19 @@ def verify_closed_forms(p: int, basis: _Basis) -> CheckReport:
     return report
 
 
-def verify_step_recurrence(p: int, order: int) -> CheckReport:
+def verify_step_recurrence(p: int, basis: _Basis) -> CheckReport:
     """(e^z - 1) f_p = p (f_{p-1} - 1)."""
     if p < 1:
         raise ValueError("the step recurrence needs p >= 1")
-    w = egf_em1(order)
-    lhs = egf_mul(w, pbell_egf(p, order))
-    rhs = (pbell_egf(p - 1, order) - 1).scale(p)
-    return _series_report("egf-step-recurrence", {"p": p, "order": order}, lhs, rhs)
+    rhs = (basis.f(p - 1) - 1).scale(p)
+    return _series_report("egf-step-recurrence", {"p": p, "order": basis.order}, basis.f(p, 1), rhs)
 
 
-def verify_three_term_contiguous(p: int, order: int) -> CheckReport:
+def verify_three_term_contiguous(p: int, basis: _Basis) -> CheckReport:
     """f_p = (1 + w/(p+1)) f_{p+1} - (w/(p+2)) f_{p+2} with w = e^z - 1."""
-    w = egf_em1(order)
-    f1 = pbell_egf(p + 1, order)
-    f2 = pbell_egf(p + 2, order)
-    lhs = pbell_egf(p, order)
-    rhs = f1 + egf_mul(w, f1).scale(Fraction(1, p + 1)) - egf_mul(w, f2).scale(Fraction(1, p + 2))
-    return _series_report("egf-three-term", {"p": p, "order": order}, lhs, rhs)
+    w_f1, w_f2 = basis.f(p + 1, 1), basis.f(p + 2, 1)
+    rhs = basis.f(p + 1) + w_f1.scale(Fraction(1, p + 1)) - w_f2.scale(Fraction(1, p + 2))
+    return _series_report("egf-three-term", {"p": p, "order": basis.order}, basis.f(p), rhs)
 
 
 def verify_double_egf_pbell(basis: _Basis, y_order: int) -> CheckReport:
@@ -268,12 +281,10 @@ def verify_double_egf_pbell(basis: _Basis, y_order: int) -> CheckReport:
     slices are indexed by the y-power with 1/p! normalization, so multiplying
     by y sends slice q-1 to q times itself at q.
     """
-    z_order, w = basis.order, basis.power(1)
+    z_order = basis.order
     params = {"z_order": z_order, "y_order": y_order}
-    slices = [pbell_egf(q, z_order) for q in range(y_order + 1)]
-    lhs = [egf_mul(w, slices[0])]
-    lhs += [egf_mul(w, slices[q]) - slices[q - 1].scale(q) for q in range(1, y_order + 1)]
-    rhs = [egf_mul(w, basis.exp_w)]
+    lhs = [basis.f(0, 1)] + [basis.f(q, 1) - basis.f(q - 1).scale(q) for q in range(1, y_order + 1)]
+    rhs = [egf_mul(basis.power(1), basis.exp_w)]
     rhs += [egf_constant(-q, z_order) for q in range(1, y_order + 1)]
     return _bivariate_report("double-egf-pbell", params, lhs, rhs)
 
@@ -303,7 +314,7 @@ def verify_derivative_operator_form(p: int, basis: _Basis) -> CheckReport:
         raise ValueError(f"order {order} leaves no coefficients after {p - 1} derivatives")
     params = {"p": p, "order": order, "compare_order": order - (p - 1)}
     operator_side = egf_mul(basis.exp_w, basis.chain(p)).scale(Fraction((-1) ** (p - 1) * p))
-    f = pbell_egf(p, operator_side.order)
+    f = basis.f(p).truncate(operator_side.order)
     return _series_report("egf-derivative-operator", params, f, operator_side)
 
 
@@ -319,8 +330,7 @@ def verify_incomplete_gamma_form(p: int, basis: _Basis) -> CheckReport:
         raise ValueError("the incomplete-gamma form needs p >= 1")
     order = basis.order
     params = {"p": p, "order": order, "z0": "1/2"}
-    f = pbell_egf(p, order)
-    lhs = egf_mul(basis.power(p), f)
+    lhs = basis.f(p, p)
     partial_sum = egf_constant(0, order)
     for j in range(p):
         partial_sum = partial_sum + basis.power(j).scale(Fraction(1, factorial(j)))
@@ -423,14 +433,11 @@ def verify_ramanujan_form(n_max: int) -> CheckReport:
 
 
 def verify_iterated_integral(n_max: int, p_max: int) -> CheckReport:
-    """B_{n,p} as p! times the p-fold antiderivative of phi_n at 1."""
+    """B_{n,p} as p! times the p-fold antiderivative of phi_n at 1, one chain of antiderivatives per n."""
     params = {"n_max": n_max, "p_max": p_max}
-    cols = {q: pbell_column(n_max, q) for q in range(p_max + 1)}
-    cases = (
-        (f"n={n}, p={p}", iterated_integral_pbell(n, p), cols[p][n])
-        for p in range(p_max + 1)
-        for n in range(n_max + 1)
-    )
+    cols = [pbell_column(n_max, q) for q in range(p_max + 1)]
+    rows = [_iterated_integrals(n, p_max) for n in range(n_max + 1)]
+    cases = ((f"n={n}, p={p}", rows[n][p], cols[p][n]) for p in range(p_max + 1) for n in range(n_max + 1))
     return _pointwise_report("iterated-integral", params, cases)
 
 
@@ -459,13 +466,13 @@ def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], Ch
     basis = _Basis(order)
     jobs: list[tuple[str, Callable[[], CheckReport]]] = []
     for p in range(p_max + 1):
-        jobs.append(("egf-definition", lambda p=p: verify_egf_definition(p, order)))
+        jobs.append(("egf-definition", lambda p=p: verify_egf_definition(p, basis)))
     for p in range(1, p_max + 1):
         jobs.append(("egf-closed-form", lambda p=p: verify_closed_forms(p, basis)))
     for p in range(1, p_max + 1):
-        jobs.append(("egf-step-recurrence", lambda p=p: verify_step_recurrence(p, order)))
+        jobs.append(("egf-step-recurrence", lambda p=p: verify_step_recurrence(p, basis)))
     for p in range(p_max + 1):
-        jobs.append(("egf-three-term", lambda p=p: verify_three_term_contiguous(p, order)))
+        jobs.append(("egf-three-term", lambda p=p: verify_three_term_contiguous(p, basis)))
     jobs.append(("double-egf-pbell", lambda: verify_double_egf_pbell(basis, p_max)))
     jobs.append(("double-egf-polybell", lambda: verify_double_egf_polybell(basis, p_max)))
     for p in range(1, min(p_max, order) + 1):

@@ -34,9 +34,9 @@ from itertools import accumulate
 from math import comb, gcd, lcm, perm
 from operator import mul
 
-from .exact_core import EgfSeries, Polynomial, RationalLike, poly_eval, rational
+from .exact_core import EgfSeries, Polynomial, RationalLike, _poly, _series, poly_eval, rational
 from .special_numbers import CACHE, _bell_column, _check_indices, _column, _column_step
-from .special_numbers import _gen_bernoulli_columns, bernoulli, stirling2, weighted_stirling_poly
+from .special_numbers import _gen_bernoulli_columns, stirling2, weighted_stirling_poly
 
 __all__ = [
     "ROUTES",
@@ -52,7 +52,6 @@ __all__ = [
     "pbell_ramanujan_p1",
     "pbell_poly",
     "pbell_poly_weighted",
-    "zpoly_triangle",
 ]
 
 
@@ -162,10 +161,16 @@ def pbell_number(n: int, p: int, *, cross_check: bool = False) -> Fraction:
     return values["ztriangle"]
 
 
+def _z_column(n_max: int, p: int) -> tuple[list[int], list[int]]:
+    """B_{n,p} = U_{n,0} / M_n for n <= n_max by one ``ztriangle`` sweep, as the lists of
+    ``_z_rows``' integers U_{n,0} and of the scales M_n = lcm(p+1..n+p)."""
+    _check_indices(n_max, p)
+    return _z_rows(n_max, p), list(accumulate(range(p + 1, p + n_max + 1), lcm, initial=1))
+
+
 def pbell_column(n_max: int, p: int) -> list[Fraction]:
     """[B_{0,p}, ..., B_{n_max,p}] by one ``ztriangle`` sweep."""
-    _check_indices(n_max, p)
-    return list(map(Fraction, _z_rows(n_max, p), accumulate(range(p + 1, p + n_max + 1), lcm, initial=1)))
+    return list(map(Fraction, *_z_column(n_max, p)))
 
 
 def _pbell_numerators(n_max: int, p_max: int) -> tuple[list[list[int]], list[int]]:
@@ -192,23 +197,25 @@ def pbell_columns(n_max: int, p_max: int) -> list[list[Fraction]]:
 
 
 def pbell_egf(p: int, order: int) -> EgfSeries:
-    """The truncated EGF f_p(z) with exact coefficients B_{n,p}."""
-    return EgfSeries(pbell_column(order, p))
+    """The truncated EGF f_p(z) with exact coefficients B_{n,p}, over the one scale M_order."""
+    us, ms = _z_column(order, p)
+    return _series([u * (ms[-1] // m) for u, m in zip(us, ms)], ms[-1])
 
 
 def pbell_ramanujan_p1(n: int) -> Fraction:
     """Ramanujan's Bernoulli-number form of the p = 1 column:
-    B_{n,1} = sum_k C(n,k) phi_{k+1} B_{n-k} / (k+1)."""
+    B_{n,1} = sum_k C(n,k) phi_{k+1} B_{n-k} / (k+1), summed as one integer over
+    (n+1) d by C(n,k)/(k+1) = C(n+1,k+1)/(n+1), d the lcm of the Bernoulli column."""
     _check_indices(n, 0)
     phi = _bell_column(n + 1)
-    return sum(Fraction(comb(n, k), k + 1) * phi[k + 1] * bernoulli(n - k) for k in range(n + 1))
+    _, (column, den) = _gen_bernoulli_columns(n, 1)
+    return Fraction(sum(comb(n + 1, k + 1) * phi[k + 1] * column[n - k] for k in range(n + 1)), (n + 1) * den)
 
 
 def pbell_poly(n: int, p: int) -> Polynomial:
-    """B_{n,p}(x) = sum_k C(n,k) B_{k,p} x^{n-k} (monic, constant term B_{n,p})."""
-    _check_indices(n, p)
-    column = pbell_column(n, p)
-    return Polynomial([comb(n, d) * column[n - d] for d in range(n + 1)])
+    """B_{n,p}(x) = sum_k C(n,k) B_{k,p} x^{n-k} (monic, constant term B_{n,p}), over M_n."""
+    us, ms = _z_column(n, p)
+    return _poly([comb(n, d) * us[n - d] * (ms[n] // ms[n - d]) for d in range(n + 1)], ms[n])
 
 
 def pbell_poly_weighted(n: int, p: int, x: RationalLike) -> Fraction:
@@ -217,14 +224,3 @@ def pbell_poly_weighted(n: int, p: int, x: RationalLike) -> Fraction:
     _check_indices(n, p)
     xv = rational(x)
     return sum(Fraction(1, comb(k + p, k)) * poly_eval(weighted_stirling_poly(n, k), xv) for k in range(n + 1))
-
-
-def zpoly_triangle(n: int, p: int, x: RationalLike) -> Fraction:
-    """B_{n,p}(x) by the polynomial triangle
-    Z_{n+1,m}(x) = (m+1)/(m+p+1) Z_{n,m+1}(x) + (m+x) Z_{n,m}(x), Z_{0,m} = 1."""
-    _check_indices(n, p)
-    xv = rational(x)
-    row = [Fraction(1)] * (n + 1)
-    for _ in range(n):
-        row = [Fraction(m + 1, m + p + 1) * row[m + 1] + (m + xv) * row[m] for m in range(len(row) - 1)]
-    return row[0]

@@ -21,16 +21,16 @@ of phi_n at 1 and B_n^(-p) its p-th derivative there, gives for every integer k
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, perm
 
-from .exact_core import Polynomial, poly_eval
+from .exact_core import poly_eval
 from .special_numbers import _bell_column, _check_indices, bell_number, bell_poly, stirling2, stirling2_row
 
 __all__ = [
     "polybell_neg",
     "polybell_neg_columns",
     "polybell_neg_derivative",
-    "polybell_neg_row_poly",
     "duality_counterexample",
     "iterated_integral_pbell",
 ]
@@ -58,12 +58,6 @@ def polybell_neg_derivative(n: int, p: int) -> int:
     return factorial(p) * sum(comb(n, j) * stirling2(j, p) * bell_number(n - j) for j in range(p, n + 1))
 
 
-def polybell_neg_row_poly(n: int) -> Polynomial:
-    """The row polynomial sum_p B_n^(-p) y^p/p!, which equals phi_n(1 + y)."""
-    columns = polybell_neg_columns(n, n)
-    return Polynomial([Fraction(c[n], factorial(p)) for p, c in enumerate(columns)])
-
-
 def duality_counterexample() -> tuple[int, int, int, int]:
     """Smallest (n, p) with n > p >= 1 and B_n^(-p) != B_p^(-n).
 
@@ -80,10 +74,12 @@ def duality_counterexample() -> tuple[int, int, int, int]:
 
 
 def iterated_integral_pbell(n: int, p: int) -> Fraction:
-    """B_{n,p} as p! times the p-fold antiderivative of phi_n evaluated at 1
-    (all integration constants zero)."""
-    _check_indices(n, p)
-    poly = bell_poly(n)
-    for _ in range(p):
-        poly = poly.antiderivative()
-    return factorial(p) * poly_eval(poly, 1)
+    """B_{n,p} as p! times the p-fold antiderivative of phi_n at 1 (integration constants zero)."""
+    return _iterated_integrals(n, p)[p]
+
+
+def _iterated_integrals(n: int, p_max: int) -> list[Fraction]:
+    """[iterated_integral_pbell(n, p) for p = 0..p_max], along one chain of antiderivatives."""
+    _check_indices(n, p_max)
+    chain = accumulate(range(p_max), lambda poly, _: poly.antiderivative(), initial=bell_poly(n))
+    return [factorial(p) * poly_eval(poly, 1) for p, poly in enumerate(chain)]

@@ -1,16 +1,20 @@
 import pytest
 
 from polybell.pbell import _recurrence_table, pbell_column, pbell_explicit, pbell_gen_bernoulli
-from polybell.special_numbers import reset_cache
+from polybell.special_numbers import CACHE, reset_cache
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     """Every test starts and ends with empty memo triangles, so cache pokes
-    in fault-injection tests can never leak."""
+    in fault-injection tests can never leak.  A test that stubs a cache method
+    patches ``TriangleCache``: patching the ``CACHE`` instance leaves a bound
+    method in its ``__dict__`` after undo, which hides later class patches."""
     reset_cache()
     yield
     reset_cache()
+    leaked = {"get", "put", "fill_rows", "rows", "force"} & set(vars(CACHE))
+    assert not leaked, f"a test left {sorted(leaked)} patched on the CACHE instance"
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from polybell.exact_core import (
     egf_exp,
     egf_exp_rz,
     egf_mul,
-    egf_z,
     format_rational,
     parse_rational,
     poly_eval,
@@ -28,6 +27,11 @@ rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=10
 )
 coeff_lists = st.lists(rationals, min_size=1, max_size=9)
+
+
+def egf_z(order):
+    """The monomial z (EGF coefficients 0, 1, 0, 0, ...)."""
+    return EgfSeries([int(k == 1) for k in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from polybell import exact_core, identity_verifier
+from polybell import exact_core, identity_verifier, pbell
 from polybell.exact_core import format_rational, parse_rational
 from polybell.identity_verifier import (
     IDENTITY_IDS,
@@ -162,25 +163,37 @@ def test_planted_row_sum_fault_is_reported_in_lowest_terms(monkeypatch):
     assert report.detail == "first failing case at (n=3): lhs=22, rhs=176/7"
 
 
-def _count_calls(monkeypatch, name):
-    real = getattr(exact_core, name)
+def _count_calls(monkeypatch, name, module=exact_core):
+    """The argument tuples of every call to ``module.name`` that the suite makes."""
+    real = getattr(module, name)
     calls = []
 
     def counting(*args):
-        calls.append(None)
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(exact_core, name, counting)
+    monkeypatch.setattr(module, name, counting)
     monkeypatch.setattr(identity_verifier, name, counting)
     return calls
 
 
 def test_egf_checks_build_one_power_ladder(monkeypatch):
     # (e^z-1)^k is built once per run, one egf_mul per power (519 calls when
-    # each power came from its own egf_pow, 239 when each check built its own)
+    # each power came from its own egf_pow, 239 when each check built its own),
+    # and so are w f_q and w^q f_q (123 calls when each check formed its own)
     calls = _count_calls(monkeypatch, "egf_mul")
     assert all(r.passed for r in run_all(30, 10, 30))
-    assert len(calls) <= 123
+    assert len(calls) <= 82
+
+
+def test_each_column_series_and_the_composition_rows_are_built_once_per_run(monkeypatch):
+    # 105 pbell_egf calls for 22 distinct series, and one T triangle per p, before
+    # the checks shared them
+    egfs = _count_calls(monkeypatch, "pbell_egf", pbell)
+    rows = _count_calls(monkeypatch, "_em1_rows")
+    assert all(r.passed for r in run_all(30, 10, 30))
+    assert Counter(egfs) == {(q, 30): 1 for q in range(13)}
+    assert rows == [(30,)]
 
 
 def test_operator_chain_is_built_once_per_run(monkeypatch):
@@ -193,11 +206,33 @@ def test_operator_chain_is_built_once_per_run(monkeypatch):
 
 def test_shared_series_are_built_only_when_read(monkeypatch):
     calls = _count_calls(monkeypatch, "egf_exp")
-    _Basis(30)
+    built = {name: _count_calls(monkeypatch, name) for name in ("egf_mul", "_em1_rows")}
+    built["pbell_egf"] = _count_calls(monkeypatch, "pbell_egf", pbell)
+    basis = _Basis(30)
+    assert calls == [] and all(c == [] for c in built.values())
+    assert basis.f(3) is basis.f(3) and basis.f(3, 1) is basis.f(3, 1)
+    assert [len(c) for c in built.values()] == [1, 0, 1]  # w f_3 reads f_3, and w needs no product
     assert all(r.passed for r in run_all(30, 10, 30, only=["egf-definition"]))
     assert calls == []
+    assert [len(c) for c in built.values()] == [1, 1, 12]  # the T rows and f_0..f_10
     run_all(30, 10, 30, only=["egf-closed-form", "egf-derivative-operator"])
     assert len(calls) == 2  # exp(w), then exp(-w) one order up for the chain
+
+
+def test_planted_triangle_cell_fails_the_recurrences_with_the_same_first_differences():
+    # U_{6,0} of bell:2 planted at 1 makes B_{6,2} = 1/840; each check reads the
+    # run's shared f_q and must name the same first difference as when it built its own
+    CACHE.force(("bell:2", 6, 0), 1)
+    reports = run_all(8, 3, 8, only=["egf-step-recurrence", "egf-three-term"])
+    assert [(r.identity_id, r.params["p"], r.detail) for r in reports] == [
+        ("egf-step-recurrence", 1, ""),
+        ("egf-step-recurrence", 2, "first difference at n=7: lhs=29921/120, rhs=4637/12"),
+        ("egf-step-recurrence", 3, "first difference at n=6: lhs=235/4, rhs=1/280"),
+        ("egf-three-term", 0, "first difference at n=7: lhs=877, rhs=75643/80"),
+        ("egf-three-term", 1, "first difference at n=6: lhs=2057/42, rhs=24691/840"),
+        ("egf-three-term", 2, "first difference at n=6: lhs=1/840, rhs=235/12"),
+        ("egf-three-term", 3, ""),
+    ]
 
 
 def test_derivative_operator_needs_enough_order():

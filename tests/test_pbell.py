@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import comb, gcd, lcm, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybell.cli import main
-from polybell.exact_core import Polynomial, poly_eval
+from polybell.exact_core import EgfSeries, Polynomial, poly_eval
 from polybell.pbell import (
     ROUTES,
     BackendMismatch,
@@ -23,9 +25,8 @@ from polybell.pbell import (
     pbell_ramanujan_p1,
     pbell_recurrence,
     pbell_z_triangle,
-    zpoly_triangle,
 )
-from polybell.special_numbers import CACHE, bell_number, bell_poly, reset_cache, stirling2
+from polybell.special_numbers import CACHE, TriangleCache, bell_number, bell_poly, bernoulli, reset_cache, stirling2
 
 # the 7x4 reference matrix (columns p = 0..3, rows n = 0..6)
 REFERENCE_MATRIX = {
@@ -132,6 +133,31 @@ def test_pbell_egf_coefficients():
         assert s.coeff(n) == pbell_number(n, 8)
 
 
+def _fraction_poly(column, n):
+    """B_{n,p}(x) from one reduced Fraction per cell: the reference for the integer build of ``pbell_poly``."""
+    return Polynomial([comb(n, d) * column[n - d] for d in range(n + 1)])
+
+
+def test_integer_series_and_polynomials_match_the_fraction_builds():
+    # pbell_egf and pbell_poly scale _z_rows' integers to one lcm; the Fraction
+    # column and the explicit Stirling sum, cell by cell, are the references
+    for p in range(9):
+        column = pbell_column(40, p)
+        explicit = [pbell_explicit(n, p) for n in range(41)]
+        assert column == explicit, p
+        for n in range(41):
+            assert pbell_egf(p, n) == EgfSeries(column[: n + 1]) == EgfSeries(explicit[: n + 1]), (n, p)
+            assert pbell_poly(n, p) == _fraction_poly(column, n) == _fraction_poly(explicit, n), (n, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 120), st.integers(0, 12))
+def test_integer_builds_match_the_fraction_column(n, p):
+    column = pbell_column(n, p)
+    assert pbell_egf(p, n) == EgfSeries(column)
+    assert pbell_poly(n, p) == _fraction_poly(column, n)
+
+
 def test_bell_sum_recurrence():
     # the p = 0 case of the step recurrence collapses to the classical
     # partition-count sum
@@ -151,6 +177,26 @@ def test_bell_poly_touchard():
 def test_ramanujan_route_p1():
     for n in range(16):
         assert pbell_ramanujan_p1(n) == pbell_number(n, 1)
+
+
+def _fraction_ramanujan_p1(n):
+    """Ramanujan's form with one reduced Fraction per term: the reference for the integer sum."""
+    return sum(Fraction(comb(n, k), k + 1) * bell_number(k + 1) * bernoulli(n - k) for k in range(n + 1))
+
+
+def test_integer_ramanujan_matches_the_fraction_sum():
+    column = pbell_column(80, 1)
+    for n in range(81):
+        assert pbell_ramanujan_p1(n) == _fraction_ramanujan_p1(n) == column[n], n
+
+
+def zpoly_triangle(n, p, x):
+    """B_{n,p}(x) at a Fraction x by the polynomial triangle
+    Z_{n+1,m}(x) = (m+1)/(m+p+1) Z_{n,m+1}(x) + (m+x) Z_{n,m}(x), Z_{0,m} = 1."""
+    row = [Fraction(1)] * (n + 1)
+    for _ in range(n):
+        row = [Fraction(m + 1, m + p + 1) * row[m + 1] + (m + x) * row[m] for m in range(len(row) - 1)]
+    return row[0]
 
 
 def test_polynomial_three_routes_agree():
@@ -261,7 +307,7 @@ def test_triangle_call_inside_the_stored_prefix_does_not_sweep(monkeypatch):
     stored = _z_rows(50, 3)
     expected = [pbell_explicit(n, 3) for n in range(51)]  # fills the Stirling rows first
     puts = []
-    monkeypatch.setattr(CACHE, "put", lambda key, row: puts.append(key))
+    monkeypatch.setattr(TriangleCache, "put", lambda self, key, row: puts.append(key))
     assert _z_rows(30, 3) == stored[:31]
     assert pbell_z_triangle(30, 3) == expected[30]
     assert pbell_column(50, 3) == expected
@@ -296,8 +342,8 @@ def test_antidiagonal_rows_match_the_row_sweep(p, monkeypatch):
     assert _z_rows(300, p) == reference
     reset_cache()
     assert _z_rows(120, p) == reference[:121]
-    put, puts = CACHE.put, []
-    monkeypatch.setattr(CACHE, "put", lambda key, row: puts.append(key) or put(key, row))
+    put, puts = TriangleCache.put, []
+    monkeypatch.setattr(TriangleCache, "put", lambda self, key, row: puts.append(key) or put(self, key, row))
     assert _z_rows(300, p) == reference  # resumes from the shorter stored column
     assert puts == [(f"bell:{p}", n) for n in range(121, 301)]
 
@@ -383,8 +429,8 @@ def test_gen_bernoulli_backend_matches_triangle_past_the_acceptance_grid():
 def test_default_backend_is_triangle_sweep(monkeypatch):
     # without a cross-check, pbell_number takes the ztriangle route: from a cold
     # cache it builds rows of bell:p alone, and no Stirling, Bernoulli or Bell row
-    put, tags = CACHE.put, []
-    monkeypatch.setattr(CACHE, "put", lambda key, row: tags.append(key[0]) or put(key, row))
+    put, tags = TriangleCache.put, []
+    monkeypatch.setattr(TriangleCache, "put", lambda self, key, row: tags.append(key[0]) or put(self, key, row))
     assert pbell_number(6, 1) == Fraction(2057, 42)
     assert tags == ["bell:1"] * 7
     assert pbell_number(6, 1, cross_check=True) == Fraction(2057, 42)

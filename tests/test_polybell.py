@@ -6,12 +6,12 @@ import pytest
 from polybell.exact_core import Polynomial, poly_eval
 from polybell.pbell import pbell_explicit, pbell_number
 from polybell.polybell import (
+    _iterated_integrals,
     duality_counterexample,
     iterated_integral_pbell,
     polybell_neg,
     polybell_neg_derivative,
     polybell_neg_columns,
-    polybell_neg_row_poly,
 )
 from polybell.special_numbers import CACHE, bell_number, bell_poly, reset_cache, stirling2
 
@@ -90,6 +90,12 @@ def test_negative_order_derivative_route():
             assert polybell_neg(n, p) == polybell_neg_derivative(n, p), (n, p)
 
 
+def polybell_neg_row_poly(n):
+    """The row polynomial sum_p B_n^(-p) y^p/p!, which equals phi_n(1 + y)."""
+    columns = polybell_neg_columns(n, n)
+    return Polynomial([Fraction(c[n], factorial(p)) for p, c in enumerate(columns)])
+
+
 def test_row_polynomial_is_shifted_bell_polynomial():
     # sum_p B_n^(-p) y^p / p! as a polynomial in y equals phi_n(1 + y)
     shift = Polynomial([1, 1])
@@ -124,6 +130,25 @@ def test_iterated_integral_route():
     for n in range(11):
         for p in range(6):
             assert iterated_integral_pbell(n, p) == pbell_number(n, p), (n, p)
+
+
+def _iterated_integral_anew(n, p):
+    """p antiderivatives of phi_n taken anew for each p: the reference for the shared chain."""
+    poly = bell_poly(n)
+    for _ in range(p):
+        poly = poly.antiderivative()
+    return factorial(p) * poly_eval(poly, 1)
+
+
+def test_iterated_integral_column_matches_each_p():
+    for n in range(16):
+        column = _iterated_integrals(n, 8)
+        assert len(column) == 9
+        for p in range(9):
+            assert column[p] == iterated_integral_pbell(n, p) == _iterated_integral_anew(n, p), (n, p)
+            assert column[p] == pbell_number(n, p), (n, p)
+    with pytest.raises(ValueError):
+        _iterated_integrals(3, -1)
 
 
 def test_degenerate_and_error_cases():

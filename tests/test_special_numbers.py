@@ -14,7 +14,6 @@ from polybell.exact_core import (
     egf_div,
     egf_em1,
     egf_mul,
-    egf_z,
     poly_eval,
 )
 from polybell.pbell import _recurrence_table, _z_rows, pbell_column
@@ -35,6 +34,11 @@ from polybell.special_numbers import (
     stirling2_row,
     weighted_stirling_poly,
 )
+
+
+def egf_z(order):
+    """The monomial z (EGF coefficients 0, 1, 0, 0, ...)."""
+    return EgfSeries([int(k == 1) for k in range(order + 1)])
 
 
 def _partition_counts(n: int) -> dict[int, int]:
