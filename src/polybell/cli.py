@@ -158,30 +158,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_numeric(args) -> int:
-    from .numeric_bridge import (  # loaded only by the subcommand that runs it
-        RngStream, cesaro_pbell, dobinski_pbell, dobinski_pbell_poly, mc_moment_check, mgf_check, pmf_check,
-    )
+    from . import numeric_bridge  # loaded only by the subcommand that runs it
 
-    if args.numeric_check == "dobinski":
-        check = dobinski_pbell(args.n, args.p, tol=args.tol)
-        params = {"n": args.n, "p": args.p}
-    elif args.numeric_check == "dobinski-poly":
-        x = _rational_or_float(args.x)
-        check = dobinski_pbell_poly(args.n, args.p, x, tol=args.tol)
-        params = {"n": args.n, "p": args.p, "x": args.x}
-    elif args.numeric_check == "cesaro":
-        check = cesaro_pbell(args.n, args.p, tol=args.tol)
-        params = {"n": args.n, "p": args.p}
-    elif args.numeric_check == "mc":
-        x = _rational_or_float(args.x)
-        check = mc_moment_check(args.n, args.p, x, args.samples, RngStream(args.seed))
-        params = {"n": args.n, "p": args.p, "x": args.x, "seed": args.seed}
-    elif args.numeric_check == "mgf":
-        check = mgf_check(args.p, args.t, args.samples, RngStream(args.seed))
-        params = {"p": args.p, "t": args.t, "seed": args.seed}
-    elif args.numeric_check == "pmf":
-        check = pmf_check(args.p, args.k, args.samples, RngStream(args.seed))
-        params = {"p": args.p, "k": args.k, "seed": args.seed}
+    name, _, options = _NUMERIC_CHECKS[args.numeric_check]
+    convert = {"x": _rational_or_float, "seed": numeric_bridge.RngStream}
+    values = [convert.get(o, lambda v: v)(getattr(args, o)) for o in options if o != "tol"]
+    tol = {} if getattr(args, "tol", None) is None else {"tol": args.tol}
+    check = getattr(numeric_bridge, name)(*values, **tol)
+    params = {o: getattr(args, o) for o in options if o not in ("tol", "samples")}
     payload = {"check": args.numeric_check, "params": params, "passed": check.passed}
     payload.update(check.to_json_dict())
     print(json.dumps(payload))
@@ -190,6 +174,27 @@ def _cmd_numeric(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+# each numeric check: its numeric_bridge function, its help, and its options in call order
+_NUMERIC_CHECKS = {
+    "dobinski": ("dobinski_pbell", "series estimate of a p-Bell number", ("n", "p", "tol")),
+    "dobinski-poly": ("dobinski_pbell_poly", "series estimate of a p-Bell polynomial value", ("n", "p", "x", "tol")),
+    "cesaro": ("cesaro_pbell", "contour-integral estimate of a p-Bell number", ("n", "p", "tol")),
+    "mc": ("mc_moment_check", "Monte Carlo moment check of a polynomial value", ("n", "p", "x", "samples", "seed")),
+    "mgf": ("mgf_check", "Monte Carlo check of the moment generating function", ("p", "t", "samples", "seed")),
+    "pmf": ("pmf_check", "Monte Carlo check of the mixture pmf", ("p", "k", "samples", "seed")),
+}
+_NUMERIC_OPTIONS = {
+    "n": {"type": int, "required": True},
+    "p": {"type": int, "required": True},
+    "x": {"required": True, "help": "evaluation point, num/den or float; write -1/2 as --x=-1/2"},
+    "t": {"type": float, "required": True},
+    "k": {"type": int, "required": True},
+    "tol": {"type": float},  # no default here: the numeric_bridge function's own applies
+    "samples": {"type": int, "default": 1_000_000},
+    "seed": {"type": int, "default": 0},
+}
 
 
 @functools.cache  # one parser per process: building it costs about 30 parses
@@ -234,40 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_numeric = sub.add_parser("numeric", help="numeric and Monte Carlo checks")
     nsub = p_numeric.add_subparsers(dest="numeric_check", required=True)
 
-    n_dob = nsub.add_parser("dobinski", help="series estimate of a p-Bell number")
-    n_dob.add_argument("--n", type=int, required=True)
-    n_dob.add_argument("--p", type=int, required=True)
-    n_dob.add_argument("--tol", type=float, default=1e-9)
-
-    n_dobp = nsub.add_parser("dobinski-poly", help="series estimate of a p-Bell polynomial value")
-    n_dobp.add_argument("--n", type=int, required=True)
-    n_dobp.add_argument("--p", type=int, required=True)
-    n_dobp.add_argument("--x", required=True, help="evaluation point, num/den or float; write -1/2 as --x=-1/2")
-    n_dobp.add_argument("--tol", type=float, default=1e-9)
-
-    n_ces = nsub.add_parser("cesaro", help="contour-integral estimate of a p-Bell number")
-    n_ces.add_argument("--n", type=int, required=True)
-    n_ces.add_argument("--p", type=int, required=True)
-    n_ces.add_argument("--tol", type=float, default=1e-6)
-
-    n_mc = nsub.add_parser("mc", help="Monte Carlo moment check of a polynomial value")
-    n_mc.add_argument("--n", type=int, required=True)
-    n_mc.add_argument("--p", type=int, required=True)
-    n_mc.add_argument("--x", required=True, help="evaluation point, num/den or float; write -1/2 as --x=-1/2")
-    n_mc.add_argument("--samples", type=int, default=1_000_000)
-
-    n_mgf = nsub.add_parser("mgf", help="Monte Carlo check of the moment generating function")
-    n_mgf.add_argument("--p", type=int, required=True)
-    n_mgf.add_argument("--t", type=float, required=True)
-    n_mgf.add_argument("--samples", type=int, default=1_000_000)
-
-    n_pmf = nsub.add_parser("pmf", help="Monte Carlo check of the mixture pmf")
-    n_pmf.add_argument("--p", type=int, required=True)
-    n_pmf.add_argument("--k", type=int, required=True)
-    n_pmf.add_argument("--samples", type=int, default=1_000_000)
-
-    for np_ in (n_mc, n_mgf, n_pmf):  # the seeded Monte Carlo checks
-        np_.add_argument("--seed", type=int, default=0)
+    for check, (_, help_text, options) in _NUMERIC_CHECKS.items():
+        n_check = nsub.add_parser(check, help=help_text)
+        for option in options:
+            n_check.add_argument(f"--{option}", **_NUMERIC_OPTIONS[option])
 
     return parser
 

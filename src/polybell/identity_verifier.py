@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, exp, expm1, factorial, lcm, perm
 from typing import Callable, Iterable, Sequence
 
@@ -464,35 +464,26 @@ def thread_count() -> int:
 
 def _jobs(n_max: int, p_max: int, order: int) -> list[tuple[str, Callable[[], CheckReport]]]:
     basis = _Basis(order)
-    jobs: list[tuple[str, Callable[[], CheckReport]]] = []
-    for p in range(p_max + 1):
-        jobs.append(("egf-definition", lambda p=p: verify_egf_definition(p, basis)))
-    for p in range(1, p_max + 1):
-        jobs.append(("egf-closed-form", lambda p=p: verify_closed_forms(p, basis)))
-    for p in range(1, p_max + 1):
-        jobs.append(("egf-step-recurrence", lambda p=p: verify_step_recurrence(p, basis)))
-    for p in range(p_max + 1):
-        jobs.append(("egf-three-term", lambda p=p: verify_three_term_contiguous(p, basis)))
-    jobs.append(("double-egf-pbell", lambda: verify_double_egf_pbell(basis, p_max)))
-    jobs.append(("double-egf-polybell", lambda: verify_double_egf_polybell(basis, p_max)))
-    for p in range(1, min(p_max, order) + 1):
-        jobs.append(
-            ("egf-derivative-operator", lambda p=p: verify_derivative_operator_form(p, basis))
-        )
-    for p in range(1, p_max + 1):
-        jobs.append(("incomplete-gamma-form", lambda p=p: verify_incomplete_gamma_form(p, basis)))
-    jobs.append(("cross-column-recurrence", lambda: verify_column_recurrence(n_max, p_max)))
-    jobs.append(
-        (
-            "stirling-transform",
-            lambda: verify_stirling_transform(min(n_max, 8), min(n_max, 8), min(p_max, 4)),
-        )
-    )
-    jobs.append(("poly-recurrence", lambda: verify_poly_recurrence(min(n_max, 10), min(p_max, 4))))
-    jobs.append(("ramanujan-p1", lambda: verify_ramanujan_form(n_max)))
-    jobs.append(("iterated-integral", lambda: verify_iterated_integral(min(n_max, 10), p_max)))
-    jobs.append(("polybell-row-sum", lambda: verify_row_sum(n_max)))
-    return jobs
+
+    def per_order(identity_id: str, check: Callable[..., CheckReport], first: int, last: int = p_max):
+        return ((identity_id, partial(check, p, basis)) for p in range(first, last + 1))
+
+    return [
+        *per_order("egf-definition", verify_egf_definition, 0),
+        *per_order("egf-closed-form", verify_closed_forms, 1),
+        *per_order("egf-step-recurrence", verify_step_recurrence, 1),
+        *per_order("egf-three-term", verify_three_term_contiguous, 0),
+        ("double-egf-pbell", partial(verify_double_egf_pbell, basis, p_max)),
+        ("double-egf-polybell", partial(verify_double_egf_polybell, basis, p_max)),
+        *per_order("egf-derivative-operator", verify_derivative_operator_form, 1, min(p_max, order)),
+        *per_order("incomplete-gamma-form", verify_incomplete_gamma_form, 1),
+        ("cross-column-recurrence", partial(verify_column_recurrence, n_max, p_max)),
+        ("stirling-transform", partial(verify_stirling_transform, min(n_max, 8), min(n_max, 8), min(p_max, 4))),
+        ("poly-recurrence", partial(verify_poly_recurrence, min(n_max, 10), min(p_max, 4))),
+        ("ramanujan-p1", partial(verify_ramanujan_form, n_max)),
+        ("iterated-integral", partial(verify_iterated_integral, min(n_max, 10), p_max)),
+        ("polybell-row-sum", partial(verify_row_sum, n_max)),
+    ]
 
 
 IDENTITY_IDS: tuple[str, ...] = tuple(dict.fromkeys(name for name, _ in _jobs(1, 1, 1)))

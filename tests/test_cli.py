@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import subprocess
@@ -482,6 +483,45 @@ def test_numeric_seed_only_on_the_seeded_checks(capsys):
     parser = build_parser()
     assert parser.parse_args(["numeric", "mgf", "--p", "1", "--t", "1", "--seed", "3"]).seed == 3
     assert parser.parse_args(["numeric", "pmf", "--p", "1", "--k", "1", "--seed", "3"]).seed == 3
+
+
+@pytest.mark.parametrize(
+    "check, argv, params, rejected",
+    [
+        ("dobinski", ("--n", "3", "--p", "1"), ["n", "p"], "--samples"),
+        ("dobinski-poly", ("--n", "3", "--p", "1", "--x", "1/2"), ["n", "p", "x"], "--samples"),
+        ("cesaro", ("--n", "3", "--p", "1"), ["n", "p"], "--samples"),
+        ("mc", ("--n", "2", "--p", "1", "--x", "1/2", "--samples", "20000"), ["n", "p", "x", "seed"], "--tol"),
+        ("mgf", ("--p", "2", "--t", "0.5", "--samples", "20000"), ["p", "t", "seed"], "--tol"),
+        ("pmf", ("--p", "2", "--k", "1", "--samples", "20000"), ["p", "k", "seed"], "--tol"),
+    ],
+)
+def test_numeric_options_and_echoed_params_per_check(capsys, check, argv, params, rejected):
+    # only the series and contour checks take --tol; only the Monte Carlo checks take --samples
+    code, out, _ = run_cli(capsys, "numeric", check, *argv)
+    assert code in (0, 1) and list(json.loads(out)["params"]) == params
+    code, out, err = run_cli(capsys, "numeric", check, *argv, rejected, "1")
+    assert code == 2 and out == "" and f"unrecognized arguments: {rejected} 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (("dobinski", "--n", "0", "--p", "1"), "1e-09"),
+        (("cesaro", "--n", "3", "--p", "2"), "1e-06"),
+        (("cesaro", "--n", "3", "--p", "2", "--tol", "1e-5"), "1e-05"),
+    ],
+)
+def test_numeric_omitted_tol_is_the_library_default(capsys, argv, printed):
+    from polybell import numeric_bridge
+
+    code, out, _ = run_cli(capsys, "numeric", *argv)
+    assert code == 0 and f'"tolerance": {printed}' in out
+    args = build_parser().parse_args(["numeric", *argv])
+    if "--tol" not in argv:  # the CLI holds no copy of the default that could drift from the library's
+        assert args.tol is None
+        function = {"dobinski": numeric_bridge.dobinski_pbell, "cesaro": numeric_bridge.cesaro_pbell}[argv[0]]
+        assert inspect.signature(function).parameters["tol"].default == float(printed)
 
 
 def test_numeric_mgf_reports_both_forms(capsys):
